@@ -8,8 +8,10 @@ genus is g >= 2. In the local parameter z there,
     y = z^-(2g+1) * sqrt(z^(2(2g+1)) p(z^-2)),
 
 with the sqrt normalized to leading coefficient 1, all coefficients
-rational. From these, the expansion bundles everything the reduction and
-period-map layers consume:
+rational. y and 1/y come from one integer recurrence (see
+laurent.sqrt_unit_with_inverse), and y^2 is never formed as a product:
+it is the polynomial p(x) itself. From these, the expansion bundles
+everything the reduction and period-map layers consume:
 
     k0_basis     functions x^a y^b (b in {0,1}) minus their constant term,
                  one for each realized pole order up to 4g+2; the Weierstrass
@@ -30,8 +32,20 @@ from fractions import Fraction
 
 from .laurent import (
     LaurentSeries, derive, integrate, invert, rational_from_str,
-    rational_to_str, sqrt_unit)
+    rational_to_str, sqrt_unit_with_inverse)
 from .witt import WittElement
+
+
+class GapCountMismatch(Exception):
+    """The Weierstrass gaps below the basis cutoffs are not g and 3g-3."""
+
+    def __init__(self, genus, gaps_O, gaps_Theta):
+        super().__init__(
+            "genus %d needs %d function gaps and %d field gaps, found "
+            "%r and %r" % (genus, genus, 3 * genus - 3, gaps_O, gaps_Theta))
+        self.genus = genus
+        self.gaps_O = gaps_O
+        self.gaps_Theta = gaps_Theta
 
 
 def default_precision(genus):
@@ -110,8 +124,16 @@ class HyperellipticCurve(object):
 class CurveExpansion(object):
     """All z-expansions of a curve at infinity, to a fixed precision.
 
+    y = z^-(2g+1) w and 1/y = z^(2g+1) / w, where w is the square root of
+    the polynomial z^(2(2g+1)) p(z^-2) in z^2, both read off one integer
+    recurrence; y is known below precision - (2g+1) and 1/y below
+    precision + 2g+1, as invert(y) would give. The exact polynomial
+    p(x) = y^2 is kept, and the odd fields x^a y v0 are built from it
+    (see element_of_pole_Theta).
+
     Immutable after construction apart from internal caches of
-    reduction-basis elements keyed by pole order.
+    reduction-basis elements keyed by pole order. Raises GapCountMismatch
+    if the gaps below the basis cutoffs do not number g and 3g-3.
     """
 
     def __init__(self, curve, precision):
@@ -123,11 +145,14 @@ class CurveExpansion(object):
         self.precision = precision
 
         self.x_series = LaurentSeries.monomial(-2)
-        # z^(2(2g+1)) p(z^-2) is a polynomial in z^2 with constant term 1;
-        # clamp it to the working precision so the sqrt has a finite job
-        inner = curve.p_at(self.x_series).shift(2 * (2 * g + 1))
-        self.y_series = sqrt_unit(inner.truncate(precision)).shift(-(2 * g + 1))
-        self._inv_y = invert(self.y_series)
+        # p(x) is exactly y^2; z^(2(2g+1)) p(z^-2) is a polynomial in z^2
+        # with constant term 1, clamped to the working precision so the
+        # sqrt has a finite job
+        self._y_squared = curve.p_at(self.x_series)
+        inner = self._y_squared.shift(2 * (2 * g + 1))
+        w, w_inv = sqrt_unit_with_inverse(inner.truncate(precision))
+        self.y_series = w.shift(-(2 * g + 1))
+        self._inv_y = w_inv.shift(2 * g + 1)
 
         dx = derive(self.x_series)  # -2 z^-3, exact
         self.v0_series = WittElement(self.y_series * invert(dx))
@@ -156,8 +181,8 @@ class CurveExpansion(object):
             else:
                 self.theta_basis.append((m, elem))
         # Weierstrass gap counts; a mismatch means the cutoffs are wrong
-        assert len(self.gaps_O) == g, self.gaps_O
-        assert len(self.gaps_Theta) == 3 * g - 3, self.gaps_Theta
+        if len(self.gaps_O) != g or len(self.gaps_Theta) != 3 * g - 3:
+            raise GapCountMismatch(g, self.gaps_O, self.gaps_Theta)
 
     def _monomial_pair(self, m, offset):
         """Solve 2a + (2g+1)b = m - offset with a >= 0, b in {0,1}."""
@@ -198,7 +223,11 @@ class CurveExpansion(object):
     def element_of_pole_Theta(self, m):
         """The field x^a y^b v0 of pole order m >= 1, or None.
 
-        Leading coefficient -1/2; truncation at least precision - m.
+        Leading coefficient -1/2; truncation at least precision - m. As
+        v0 = -1/2 z^3 y, the odd field x^a y v0 is -1/2 z^(3-2a) y^2, and
+        y^2 = p(x) exactly: it is built from the polynomial p(x), with the
+        truncation trunc(y) + ord(y) + 3 - 2a that the product
+        (x^a v0) * y would have, instead of multiplying two series.
         """
         if m in self._theta_cache:
             return self._theta_cache[m]
@@ -207,9 +236,12 @@ class CurveExpansion(object):
             elem = None
         else:
             a, b = ab
-            f = self._x_power(a) * self.v0_series.f
             if b:
-                f = f * self.y_series
+                y, shift = self.y_series, 3 - 2 * a
+                f = (self._y_squared.scaled(Fraction(-1, 2)).shift(shift)
+                     .truncate(y.trunc + y.order() + shift))
+            else:
+                f = self._x_power(a) * self.v0_series.f
             elem = WittElement(f)
         self._theta_cache[m] = elem
         return elem

@@ -21,6 +21,8 @@ denominator, arbitrary precision.
 """
 
 import math
+import operator
+import re
 from fractions import Fraction
 
 INF = math.inf
@@ -46,15 +48,23 @@ class NonUnitLeadingCoefficient(Exception):
     """sqrt_unit() applied to a series whose leading coefficient is not 1."""
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rational_from_str(s):
-    """Parse "p/q" (or a bare integer string "p") into a Fraction."""
+    """Parse "p/q" (or a bare integer string "p") into a Fraction.
+
+    Exactly the form -?[0-9]+(/[0-9]+)? is accepted: no sign "+", no
+    whitespace, decimal point, exponent or digit separator.
+    """
     if not isinstance(s, str):
         raise ValueError("rational must be given as a string, got %r" % (s,))
-    try:
-        q = Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    if not _RATIONAL.fullmatch(s):
         raise ValueError("not a rational: %r" % (s,))
-    return q
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("not a rational: %r" % (s,))
 
 
 def rational_to_str(q):
@@ -293,12 +303,12 @@ def invert(f):
     return LaurentSeries(out, f.trunc - 2 * o)
 
 
-def sqrt_unit(f):
-    """Square root of a series of even order with leading coefficient 1.
+def _sqrt_unit_numerators(f):
+    """Checks f for sqrt_unit() and runs its integer recurrence.
 
-    Returns the branch with leading coefficient +1; the result is known
-    below trunc(f) - ord(f)/2. The coefficients solve w^2 = f directly
-    (one quadratic convolution per coefficient).
+    Returns (o, k, s, nums): f has order o, every exponent of f - z^o is
+    o plus a multiple of the stride k, and the square root is
+    z^(o/2) * sum_i nums[i]/s^i z^(ik) for ik < trunc(f) - o.
     """
     o = f.order()
     if o is None:
@@ -308,24 +318,73 @@ def sqrt_unit(f):
     if f.coeffs[o] != 1:
         raise NonUnitLeadingCoefficient(
             "leading coefficient is %s, expected 1" % (f.coeffs[o],))
-    if f.trunc is INF:
-        if len(f.coeffs) == 1:
-            return LaurentSeries.monomial(o // 2)
+    if f.trunc is INF and len(f.coeffs) > 1:
         raise ValueError("sqrt of an exact multi-term series needs a "
                          "precision: truncate() it first")
-    s = o // 2
-    n = f.trunc - o
-    u = {e - o: c for e, c in f.coeffs.items()}
-    w = [Fraction(0)] * n
-    w[0] = Fraction(1)
-    for i in range(1, n):
-        conv = Fraction(0)
-        for j in range(1, i):
-            if w[j] != 0 and w[i - j] != 0:
-                conv += w[j] * w[i - j]
-        w[i] = (u.get(i, Fraction(0)) - conv) / 2
-    out = {i + s: c for i, c in enumerate(w) if c != 0}
-    return LaurentSeries(out, f.trunc - o + s)
+    k, d = 0, 1
+    for e, c in f.coeffs.items():
+        k = math.gcd(k, e - o)
+        d = math.lcm(d, c.denominator)
+    if k == 0:  # f is z^o up to its truncation
+        return o, 1, 1, [1]
+    # f = z^o (1 + X(t)) with t = z^k: X(st) = 4Y(t) with Y integral, and
+    # sqrt(1 + 4Y) has integer coefficients, so the root taken at st does
+    s = 4 * d
+    m = -(-(f.trunc - o) // k)
+    u = [0] * m
+    for e, c in f.coeffs.items():
+        i = (e - o) // k
+        u[i] = c.numerator * (s ** i // c.denominator)
+    nums = [1]
+    for i in range(1, m):
+        h = (i - 1) // 2  # N_j N_(i-j) for j = 1..h, counted twice
+        conv = 2 * sum(map(operator.mul, nums[1:h + 1],
+                           nums[i - 1:i - h - 1:-1]))
+        if i % 2 == 0:
+            conv += nums[i // 2] ** 2
+        nums.append((u[i] - conv) // 2)
+    return o, k, s, nums
+
+
+def _over_powers(nums, s, k, start, trunc):
+    """The series sum_i nums[i]/s^i z^(start + ik), known below trunc."""
+    out, scale = {}, 1
+    for i, c in enumerate(nums):
+        if c:
+            out[start + i * k] = Fraction(c, scale)
+        scale *= s
+    return LaurentSeries(out, trunc)
+
+
+def sqrt_unit(f):
+    """Square root of a series of even order o with leading coefficient 1.
+
+    Returns the branch with leading coefficient +1; the result is known
+    below trunc(f) - o/2. The recurrence runs on integers: with d the lcm
+    of the coefficient denominators of f, s = 4d, and k the gcd of the
+    exponent steps of f above z^o, the coefficient w_i of z^(o/2 + ik) is
+    N_i / s^i with N_0 = 1 and N_i = (U_i - sum_{0<j<i} N_j N_(i-j)) / 2,
+    where U_i = s^i * coeff(f, o + ik). Every division is exact, and one
+    Fraction is built per output coefficient.
+    """
+    o, k, s, nums = _sqrt_unit_numerators(f)
+    return _over_powers(nums, s, k, o // 2, f.trunc - o // 2)
+
+
+def sqrt_unit_with_inverse(f):
+    """(sqrt_unit(f), its multiplicative inverse) from one recurrence.
+
+    The inverse is sum_i M_i / s^i z^(-o/2 + ik) over the same s and
+    stride as the square root, with M_0 = 1 and
+    M_i = -sum_{0<j<=i} N_j M_(i-j): integers again. Its truncation is the
+    one invert() gives the square root, trunc(f) - 3o/2.
+    """
+    o, k, s, nums = _sqrt_unit_numerators(f)
+    inv = [1]
+    for i in range(1, len(nums)):
+        inv.append(-sum(map(operator.mul, nums[1:i + 1], reversed(inv))))
+    return (_over_powers(nums, s, k, o // 2, f.trunc - o // 2),
+            _over_powers(inv, s, k, -(o // 2), f.trunc - 3 * (o // 2)))
 
 
 def residue(f):

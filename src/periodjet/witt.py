@@ -23,7 +23,7 @@ non-symplectic second derivative g -> g'' fails already at radius 4.
 
 from math import comb
 
-from .laurent import LaurentSeries, arith, derive, symplectic_pair
+from .laurent import INF, LaurentSeries, arith, derive, symplectic_pair
 
 
 class WittElement(object):
@@ -87,7 +87,9 @@ class DiffOp(object):
                 if not isinstance(a, LaurentSeries):
                     raise ValueError("operator coefficient must be a "
                                      "LaurentSeries")
-                if not a.is_visible_zero():
+                # an exact zero is no term; a zero known only below its
+                # truncation still limits what the operator can produce
+                if not (a.is_visible_zero() and a.trunc is INF):
                     stored[k] = a
         self.terms = stored
 

@@ -152,6 +152,29 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_field_unknown_everywhere_exhausts_precision(tmp_path, capsys):
+    # no visible coefficient, nothing known from z^-100 on: the answer
+    # would depend on unknown coefficients, so it is refused
+    curve = write_curve(tmp_path)
+    unknown = json.dumps({"trunc": -100, "coeffs": {}})
+    assert main(["compute", "nu1", "--curve", curve,
+                 "--fields", unknown]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "PrecisionExhausted" in err
+
+
+def test_curve_file_rejects_non_rational_strings(tmp_path, capsys):
+    for bad in ("1e5", "1.5", "1_000", " 3/4 ", "+2"):
+        path = write_curve(tmp_path, {"p": [bad, "0", "0", "0", "0", "1"]},
+                           name="bad.json")
+        assert main(["info", "--curve", path]) == 2, bad
+        assert capsys.readouterr().out == ""
+    ok = write_curve(tmp_path, {"p": ["3/4", "-7", "0", "0", "0", "1"]})
+    code, out = run(capsys, ["info", "--curve", ok])
+    assert code == 0
+    assert json.loads(out)["curve"]["p"][:2] == ["3/4", "-7/1"]
+
+
 def test_precision_precedence(tmp_path, capsys, monkeypatch):
     with_file = write_curve(
         tmp_path, dict(E5_JSON, precision=30), name="prec.json")

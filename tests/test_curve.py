@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from periodjet.laurent import LaurentSeries, symplectic_pair
+from periodjet.laurent import (
+    LaurentSeries, derive, integrate, invert, symplectic_pair)
 from periodjet.curve import (
-    CurveExpansion, HyperellipticCurve, curve_from_json, curve_to_json,
-    default_precision, expand_curve, holomorphic_integrals)
+    CurveExpansion, GapCountMismatch, HyperellipticCurve, curve_from_json,
+    curve_to_json, default_precision, expand_curve, holomorphic_integrals)
+
+from series_reference import canon, fraction_sqrt_unit
 
 C5 = HyperellipticCurve([1, 0, 0, 0, 0, 1])          # y^2 = x^5 + 1
 C7 = HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1])   # y^2 = x^7 - x + 1
@@ -150,3 +154,89 @@ def test_json_roundtrip():
                          "precision": "40"})
     with pytest.raises(ValueError):
         curve_from_json([1])
+
+
+def reference_expansion(curve, precision):
+    """y, 1/y, v0, the holomorphic integrals and every basis element up to
+    pole order precision - 2, built by Fraction recurrences and explicit
+    products: y from the Fraction sqrt, 1/y = invert(y), x^a y - const and
+    x^a * v0 * y."""
+    g = curve.genus
+
+    def x_pow(a):
+        return LaurentSeries.monomial(-2 * a)
+
+    inner = curve.p_at(x_pow(1)).shift(2 * (2 * g + 1)).truncate(precision)
+    y = fraction_sqrt_unit(inner).shift(-(2 * g + 1))
+    inv_y = invert(y)
+    dx = derive(x_pow(1))
+    v0 = y * invert(dx)
+    v0_y = v0 * y  # one dense product; x^a * v0 * y = x^a * (v0 * y)
+    ref = {"y": y, "1/y": inv_y, "v0": v0}
+    for i in range(g):
+        ref["g%d" % (i + 1)] = integrate(x_pow(i) * dx * inv_y)
+    for m in range(1, precision - 1):
+        odd = m - (2 * g + 1)  # odd pole orders come from x^a y
+        if m % 2 == 0:
+            f = x_pow(m // 2)
+        elif odd >= 0:
+            f = x_pow(odd // 2) * y
+        else:
+            f = None
+        if f is not None:
+            f = f - LaurentSeries.monomial(0, f.coeff(0))
+        ref["O%d" % m] = f
+        r = m - (2 * g - 2)  # v0 has pole order 2g-2
+        if r >= 0 and r % 2 == 0:
+            f = x_pow(r // 2) * v0
+        elif r - (2 * g + 1) >= 0 and (r - (2 * g + 1)) % 2 == 0:
+            f = x_pow((r - (2 * g + 1)) // 2) * v0_y
+        else:
+            f = None
+        ref["T%d" % m] = f
+    return ref
+
+
+def seeded_curves():
+    rng = random.Random(2024)
+    for g in range(2, 7):
+        while True:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                      for _ in range(2 * g + 1)]
+            try:
+                yield HyperellipticCurve(coeffs + [1])
+                break
+            except ValueError:
+                continue  # not squarefree, draw again
+
+
+def test_expansion_matches_fraction_reference():
+    for curve in seeded_curves():
+        g = curve.genus
+        for precision in (4 * g + 4, 4 * g + 5, 8 * g + 24, 61):
+            e = expand_curve(curve, precision)
+            ref = reference_expansion(curve, precision)
+            got = {"y": e.y_series, "1/y": e._inv_y, "v0": e.v0_series.f}
+            for i, gi in enumerate(e.h10_basis):
+                got["g%d" % (i + 1)] = gi
+            for m in range(1, precision - 1):
+                got["O%d" % m] = e.element_of_pole_O(m)
+                t = e.element_of_pole_Theta(m)
+                got["T%d" % m] = None if t is None else t.f
+            assert set(got) == set(ref)
+            for key, series in ref.items():
+                want = None if series is None else canon(series)
+                have = None if got[key] is None else canon(got[key])
+                assert have == want, (g, precision, key)
+
+
+def test_gap_count_mismatch_is_an_error(monkeypatch):
+    # a field basis that realizes nothing: every order below 6g-2 is a gap
+    monkeypatch.setattr(CurveExpansion, "element_of_pole_Theta",
+                        lambda self, m: None)
+    with pytest.raises(GapCountMismatch) as info:
+        expand_curve(C5, 40)
+    assert info.value.genus == 2
+    assert info.value.gaps_O == [1, 3]
+    assert info.value.gaps_Theta == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+    assert "[1, 3]" in str(info.value)

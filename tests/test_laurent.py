@@ -3,12 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodjet.laurent import (
     INF, LaurentSeries, NonUnitLeadingCoefficient, NonzeroResidue, OddOrder,
     PrecisionExhausted, ZeroSeries, arith, derive, from_json, integrate,
     invert, rational_from_str, rational_to_str, residue, sqrt_unit,
-    symplectic_pair, to_json)
+    sqrt_unit_with_inverse, symplectic_pair, to_json)
+
+from series_reference import canon, fraction_sqrt_unit
 
 
 def random_series(rng, lo=-6, hi=6, trunc=None, nterms=5):
@@ -176,6 +179,62 @@ def test_sqrt_unit_errors():
         sqrt_unit(LaurentSeries({0: 1, 2: 1}))  # exact, needs a precision
 
 
+@st.composite
+def unit_series(draw):
+    """z^o (1 + sum c_e z^(ek)) + O(z^trunc): even order o, stride k,
+    rational coefficients with non-unit denominators."""
+    o = 2 * draw(st.integers(-4, 3))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 30))
+    coeffs = {o: Fraction(1)}
+    for i in range(1, -(-n // k)):
+        if draw(st.booleans()):
+            coeffs[o + i * k] = Fraction(draw(st.integers(-9, 9)),
+                                         draw(st.integers(1, 12)))
+    return LaurentSeries(coeffs, o + n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(unit_series())
+def test_sqrt_unit_matches_fraction_recurrence(f):
+    r = sqrt_unit(f)
+    assert canon(r) == canon(fraction_sqrt_unit(f))
+    sq = r * r
+    assert canon(sq) == canon(f.truncate(sq.trunc))
+    root, inverse = sqrt_unit_with_inverse(f)
+    assert canon(root) == canon(r)
+    assert canon(inverse) == canon(invert(r))
+
+
+def test_sqrt_unit_stride_one_negative_order():
+    # z^-4 (1 + z/3 - 2z^2/5 + 7z^5/6) + O(z^9): every exponent step is 1,
+    # the denominators are not 1 and the order is negative
+    f = LaurentSeries({-4: 1, -3: Fraction(1, 3), -2: Fraction(-2, 5),
+                       1: Fraction(7, 6)}, 9)
+    r = sqrt_unit(f)
+    assert r.order() == -2 and r.trunc == 11
+    assert canon(r) == canon(fraction_sqrt_unit(f))
+    assert r.coeff(-1) == Fraction(1, 6)
+    sq = r * r
+    assert sq.trunc == 9 and canon(sq) == canon(f)
+    root, inverse = sqrt_unit_with_inverse(f)
+    assert canon(inverse) == canon(invert(r)) and inverse.trunc == 15
+    prod = r * inverse
+    assert canon(prod) == canon(LaurentSeries.one().truncate(prod.trunc))
+
+
+def test_sqrt_unit_with_inverse_monomials():
+    assert sqrt_unit_with_inverse(LaurentSeries.monomial(-4)) == \
+        (LaurentSeries.monomial(-2), LaurentSeries.monomial(2))
+    root, inverse = sqrt_unit_with_inverse(LaurentSeries({2: 1}, 7))
+    assert root == LaurentSeries({1: 1}, 6)
+    assert inverse == LaurentSeries({-1: 1}, 4) == invert(root)
+    with pytest.raises(OddOrder):
+        sqrt_unit_with_inverse(LaurentSeries({1: 1}, 6))
+    with pytest.raises(ValueError):
+        sqrt_unit_with_inverse(LaurentSeries({0: 1, 2: 1}))
+
+
 def test_residue():
     assert residue(LaurentSeries({-1: Fraction(5, 3), 2: 1}, 3)) == \
         Fraction(5, 3)
@@ -213,6 +272,12 @@ def test_rational_strings():
         rational_from_str("x")
     with pytest.raises(ValueError):
         rational_from_str(3)
+    assert rational_from_str("0012/8") == Fraction(3, 2)
+    # only -?[0-9]+(/[0-9]+)? is a rational, whatever Fraction() accepts
+    for text in ("1e5", "1.5", "1_000", " 3/4 ", "3/4\n", "+2", "3/+4",
+                 "1/-2", "", "-", "/4", "3/", "\u0663"):
+        with pytest.raises(ValueError):
+            rational_from_str(text)
 
 
 def test_json_roundtrip():

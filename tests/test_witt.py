@@ -142,6 +142,11 @@ def test_diffop_constructor_invariants():
         DiffOp({1: "not a series"})
     assert DiffOp({1: LaurentSeries.zero()}) == DiffOp.zero()
     assert DiffOp({2: LaurentSeries.one()}).max_order() == 2
+    # a zero known only below z^-3 is kept: its truncation bounds the image
+    unknown = DiffOp({1: LaurentSeries.zero(-3)})
+    assert unknown != DiffOp.zero()
+    image = diffop_apply(unknown, LaurentSeries.monomial(-2))
+    assert image.is_visible_zero() and image.trunc == -6
 
 
 def test_json_roundtrip():
