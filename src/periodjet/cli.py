@@ -503,11 +503,21 @@ def _resolve_precision(flag_value, file_value, genus):
     return default_precision(genus)
 
 
+def _parse_json(text, what):
+    """json.loads, reporting input nested past the parser's recursion
+    limit as an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("%s JSON is nested too deeply" % what)
+
+
 def _load_job(args, need_curve):
     curve, file_precision = None, None
     if args.curve is not None:
         with open(args.curve) as fh:
-            curve, file_precision = curve_from_json(json.load(fh))
+            curve, file_precision = curve_from_json(
+                _parse_json(fh.read(), "curve"))
     elif need_curve:
         raise ValueError("this command needs --curve")
     precision = None
@@ -516,7 +526,7 @@ def _load_job(args, need_curve):
                                        curve.genus)
     fields = None
     if getattr(args, "fields", None) is not None:
-        fields = json.loads(args.fields)
+        fields = _parse_json(args.fields, "--fields")
     return JobConfig(curve, precision, fields=fields,
                      n=getattr(args, "n", None), k=getattr(args, "k", None),
                      out=args.out)

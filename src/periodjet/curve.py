@@ -195,9 +195,6 @@ class CurveExpansion(object):
             return r // 2, 1
         return None
 
-    def _x_power(self, a):
-        return LaurentSeries.monomial(-2 * a)
-
     def element_of_pole_O(self, m):
         """The function x^a y^b - const of pole order m >= 1, or None.
 
@@ -211,9 +208,10 @@ class CurveExpansion(object):
             elem = None
         else:
             a, b = ab
-            elem = self._x_power(a)
             if b:
-                elem = elem * self.y_series
+                elem = self.y_series.shift(-2 * a)  # x^a = z^(-2a)
+            else:
+                elem = LaurentSeries.monomial(-2 * a)
             const = elem.coeff(0)
             if const != 0:
                 elem = elem - LaurentSeries.monomial(0, const)
@@ -241,7 +239,7 @@ class CurveExpansion(object):
                 f = (self._y_squared.scaled(Fraction(-1, 2)).shift(shift)
                      .truncate(y.trunc + y.order() + shift))
             else:
-                f = self._x_power(a) * self.v0_series.f
+                f = self.v0_series.f.shift(-2 * a)  # x^a = z^(-2a)
             elem = WittElement(f)
         self._theta_cache[m] = elem
         return elem

@@ -11,13 +11,18 @@ reduce_O / reduce_Theta compute the unique representative by an upward
 sweep from the most negative exponent: a realized pole order is cleared by
 subtracting the matching basis element, a gap order contributes a
 coordinate. Exponents >= 0 are killed by the quotient, so inputs are
-treated modulo H+ (respectively d+).
+treated modulo H+ (respectively d+): a reduction reads only the polar
+part of its input, plus the check that the input is known below z^1
+(respectively z^0). The sweep therefore runs on the input and the basis
+elements truncated at that bound, and reduce_O(x) equals
+reduce_O(x.truncate(1)) exactly, raised exceptions included.
 
 rho sends an operator alpha to the matrix of
 
     g_j  ->  -[alpha(g_j)]   in H^1(O),
 
-the sign being part of the definition. A matrix M represents a symmetric
+the sign being part of the definition. It forms alpha(g_j) only below
+z^1, the part reduce_O reads. A matrix M represents a symmetric
 map exactly when D*M is symmetric, with D the duality pairing matrix
 D(i,j) = <g_i, z^-n_j>; that criterion is exported for reuse by the
 period layer and the CLI report.
@@ -134,6 +139,9 @@ def _sweep(series, gaps, element_at, cutoff, min_trunc, what):
     element_at(m) must return a series of order exactly -m (or None at a
     gap); its truncation is at least precision - m, which keeps min_trunc
     intact across subtractions because m <= cutoff = precision - 2.
+    Only exponents below 0 decide the coordinates, so the sweep works on
+    the input and on each subtracted element truncated at min_trunc, after
+    the input's truncation has been checked.
     """
     if series.trunc < min_trunc:
         raise PrecisionExhausted(
@@ -141,7 +149,7 @@ def _sweep(series, gaps, element_at, cutoff, min_trunc, what):
             % (what, min_trunc, series.trunc))
     gapset = set(gaps)
     coords = {n: Fraction(0) for n in gaps}
-    work = series
+    work = series.truncate(min_trunc)
     while True:
         o = work.order()
         if o is None or o >= 0:
@@ -161,7 +169,7 @@ def _sweep(series, gaps, element_at, cutoff, min_trunc, what):
             raise UnreducibleExponent(
                 "%s reduction: pole order %d is neither a gap nor realized"
                 % (what, m))
-        work = work - elem.scaled(c / elem.coeff(o))
+        work = work - elem.truncate(min_trunc).scaled(c / elem.coeff(o))
     return coords
 
 
@@ -194,11 +202,15 @@ def duality_det(exp):
 
 
 def rho(op, exp):
-    """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O)."""
+    """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O).
+
+    op(g_j) is formed only below z^1: reduce_O reads nothing above, so
+    the matrix, and any exception, is the one the full op(g_j) gives.
+    """
     gaps = exp.gaps_O
     cols = []
     for gj in exp.h10_basis:
-        cls = reduce_O(diffop_apply(op, gj), exp)
+        cls = reduce_O(diffop_apply(op, gj, below=1), exp)
         cols.append([-c for c in cls.coords])
     entries = [[cols[j][i] for j in range(len(gaps))]
                for i in range(len(gaps))]

@@ -49,6 +49,7 @@ class NonUnitLeadingCoefficient(Exception):
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INTEGER_KEY = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def rational_from_str(s):
@@ -65,6 +66,14 @@ def rational_from_str(s):
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError("not a rational: %r" % (s,))
+
+
+def int_from_key(k, what):
+    """Parse a JSON object key written as str(int): exactly the form
+    0|-?[1-9][0-9]*, so that no two accepted keys name the same integer."""
+    if not isinstance(k, str) or not _INTEGER_KEY.fullmatch(k):
+        raise ValueError("%s key %r is not a canonical integer" % (what, k))
+    return int(k)
 
 
 def rational_to_str(q):
@@ -170,9 +179,10 @@ class LaurentSeries(object):
             return NotImplemented
         return self + (-other)
 
-    def _ord_for_trunc(self):
-        # the min-rule needs a starting exponent for the unknown tail;
-        # for a visible zero that is the truncation itself
+    def min_rule_order(self):
+        """The order the min-rule of products uses: the smallest stored
+        exponent, or for a visible zero the truncation itself, where its
+        unknown tail starts."""
         o = self.order()
         return self.trunc if o is None else o
 
@@ -181,15 +191,7 @@ class LaurentSeries(object):
             return self.scaled(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        t = min(self.trunc + other._ord_for_trunc(),
-                other.trunc + self._ord_for_trunc())
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e < t:
-                    out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentSeries(out, t)
+        return product_below(self, other, INF)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -225,6 +227,39 @@ class LaurentSeries(object):
 
     def __repr__(self):
         return "LaurentSeries(%r, trunc=%r)" % (self.coeffs, self.trunc)
+
+
+def product_below(a, b, cap):
+    """(a * b).truncate(cap), forming only the terms below z^cap.
+
+    The truncation is the min-rule min(trunc a + ord b, trunc b + ord a),
+    capped at cap (an int or INF), with ord as in min_rule_order(). Both
+    exponent lists are walked in ascending order and each walk stops at
+    the first exponent whose pairs lie at or above the result's
+    truncation, so those pairs are never formed.
+
+    No term of b at or above w = cap - a.min_rule_order() is read, and
+    b.truncate(w) gives the same result: its truncation and order can
+    only change the min-rule in terms that are >= cap anyway.
+    """
+    t = min(a.trunc + b.min_rule_order(), b.trunc + a.min_rule_order(), cap)
+    out = {}
+    if a.coeffs and b.coeffs:
+        terms_b = sorted(b.coeffs.items())
+        lowest_b = terms_b[0][0]
+        for e1, c1 in sorted(a.coeffs.items()):
+            limit = t - e1
+            if lowest_b >= limit:
+                break
+            for e2, c2 in terms_b:
+                if e2 >= limit:
+                    break
+                e = e1 + e2
+                if e in out:
+                    out[e] += c1 * c2
+                else:
+                    out[e] = c1 * c2
+    return LaurentSeries(out, t)
 
 
 def arith(a, b, kind):
@@ -400,10 +435,11 @@ def symplectic_pair(f, g):
     """<f,g> = Res_{z=0} f dg.
 
     Antisymmetric on H' (integration by parts: <f,g>+<g,f> = Res d(fg) = 0
-    for any f,g, without restriction). Raises PrecisionExhausted when the
-    product f*g' is not known at z^-1.
+    for any f,g, without restriction). Only the terms of f*g' below z^0
+    are formed; PrecisionExhausted is raised when the product is not known
+    at z^-1, which the cap does not change.
     """
-    return residue(f * derive(g))
+    return residue(product_below(f, derive(g), 0))
 
 
 def to_json(f):
@@ -434,10 +470,7 @@ def from_json(obj):
         raise ValueError("series coeffs must be an object")
     coeffs = {}
     for k, v in raw.items():
-        try:
-            e = int(k)
-        except (TypeError, ValueError):
-            raise ValueError("exponent key %r is not an integer" % (k,))
+        e = int_from_key(k, "exponent")
         if e >= trunc:
             raise ValueError("coefficient at z^%d contradicts trunc %d"
                              % (e, trunc))

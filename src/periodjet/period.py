@@ -27,7 +27,7 @@ on the upsilon term of nu2 is forced to + by the last requirement.
 from fractions import Fraction
 
 from .hodge import HomMatrix, reduce_O, rho
-from .laurent import LaurentSeries, derive
+from .laurent import derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
 from .witt import WittElement, diffop_compose, phi, witt_bracket
@@ -214,13 +214,17 @@ def nu2(rep, exp):
     The + on the upsilon coupling makes nu2(canonical_second_rep(z, x))
     equal ell2(z, x) identically; with a - it would differ by twice the
     upsilon term.
+
+    The three contractions go straight into reduce_O, so they are formed
+    only below z^1; the Lie derivatives L_zeta h stay full-length.
     """
     cols = []
     for gj in exp.h10_basis:
         h = derive(gj)
-        total = rep.upsilon.f * h
+        total = product_below(rep.upsilon.f, h, 1)
         for zeta, xi in rep.sym_pairs:
-            s = xi.f * lie_on_form(zeta, h) + zeta.f * lie_on_form(xi, h)
+            s = product_below(xi.f, lie_on_form(zeta, h), 1) + \
+                product_below(zeta.f, lie_on_form(xi, h), 1)
             total = total + s.scaled(Fraction(1, 2))
         cols.append(reduce_O(total, exp).coords)
     return _columns_to_hom(cols, exp.gaps_O)

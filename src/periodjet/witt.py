@@ -23,7 +23,9 @@ non-symplectic second derivative g -> g'' fails already at radius 4.
 
 from math import comb
 
-from .laurent import INF, LaurentSeries, arith, derive, symplectic_pair
+from .laurent import (
+    INF, LaurentSeries, arith, derive, int_from_key, product_below,
+    symplectic_pair)
 
 
 class WittElement(object):
@@ -148,14 +150,25 @@ def phi(zeta):
     return DiffOp({1: zeta.f})
 
 
-def diffop_apply(op, g):
-    """Evaluate sum_k a_k g^(k); truncation follows the min-rule."""
-    out = LaurentSeries.zero()
-    for k, a in op.terms.items():
-        dg = g
-        for _ in range(k):
+def diffop_apply(op, g, below=INF):
+    """Evaluate sum_k a_k g^(k); truncation follows the min-rule.
+
+    With a finite bound, only the terms below z^below are formed and the
+    result is exactly diffop_apply(op, g).truncate(below). The product
+    with a_k then reads g^(k) only below z^(below - ord a_k), that is g
+    below z^(below - ord a_k + k), so g is truncated at the largest of
+    these before it is differentiated (see laurent.product_below).
+    """
+    if below < INF and op.terms:
+        g = g.truncate(below + max(k - a.min_rule_order()
+                                   for k, a in op.terms.items()))
+    out = LaurentSeries.zero(below)
+    dg, order = g, 0
+    for k in sorted(op.terms):
+        for _ in range(k - order):
             dg = derive(dg)
-        out = out + a * dg
+        order = k
+        out = out + product_below(op.terms[k], dg, below)
     return out
 
 
@@ -218,9 +231,5 @@ def from_json(obj):
         raise ValueError("operator terms must be an object")
     terms = {}
     for k, v in raw.items():
-        try:
-            order = int(k)
-        except (TypeError, ValueError):
-            raise ValueError("operator order key %r is not an integer" % (k,))
-        terms[order] = series_from_json(v)
+        terms[int_from_key(k, "operator order")] = series_from_json(v)
     return DiffOp(terms)

@@ -1,8 +1,13 @@
-"""Plain Fraction recurrences that the integer kernels are tested against."""
+"""Plain references that the fast kernels are tested against: Fraction
+recurrences for the integer square root, and full-length products for the
+routes that form only the coefficients a reduction reads."""
 
 from fractions import Fraction
 
-from periodjet.laurent import LaurentSeries
+from periodjet.hodge import HomMatrix, reduce_O
+from periodjet.laurent import LaurentSeries, derive
+from periodjet.period import lie_on_form
+from periodjet.witt import diffop_apply
 
 
 def fraction_sqrt_unit(f):
@@ -24,3 +29,42 @@ def canon(series):
     """Sorted coefficient map and truncation: insertion order is no part
     of a series' value."""
     return sorted(series.coeffs.items()), series.trunc
+
+
+def full_product(a, b):
+    """a * b over every pair of terms, with the min-rule truncation
+    min(trunc a + ord b, trunc b + ord a), a visible zero's order being
+    its truncation."""
+    def order(s):
+        return min(s.coeffs) if s.coeffs else s.trunc
+    t = min(a.trunc + order(b), b.trunc + order(a))
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            if e1 + e2 < t:
+                out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return LaurentSeries(out, t)
+
+
+def _columns(cols, gaps):
+    return HomMatrix([[cols[j][i] for j in range(len(gaps))]
+                      for i in range(len(gaps))], gaps)
+
+
+def full_rho(op, exp):
+    """rho reducing op(g_j) formed to the full precision."""
+    return _columns([[-c for c in reduce_O(diffop_apply(op, gj), exp).coords]
+                     for gj in exp.h10_basis], exp.gaps_O)
+
+
+def full_nu2(rep, exp):
+    """nu2 reducing its three contractions formed to the full precision."""
+    cols = []
+    for gj in exp.h10_basis:
+        h = derive(gj)
+        total = rep.upsilon.f * h
+        for zeta, xi in rep.sym_pairs:
+            s = xi.f * lie_on_form(zeta, h) + zeta.f * lie_on_form(xi, h)
+            total = total + s.scaled(Fraction(1, 2))
+        cols.append(reduce_O(total, exp).coords)
+    return _columns(cols, exp.gaps_O)

@@ -175,6 +175,35 @@ def test_curve_file_rejects_non_rational_strings(tmp_path, capsys):
     assert json.loads(out)["curve"]["p"][:2] == ["3/4", "-7/1"]
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    nested = "[" * 5000 + "]" * 5000
+    curve = write_curve(tmp_path)
+    assert main(["compute", "nu1", "--curve", curve,
+                 "--fields", nested]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "nested too deeply" in err
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"p": %s}' % nested)
+    assert main(["info", "--curve", str(deep)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "nested too deeply" in err
+
+
+def test_field_exponent_keys_must_be_canonical(tmp_path, capsys):
+    curve = write_curve(tmp_path)
+    for key in ("-01", "-0_1", " -1", "+1", "\u0663"):
+        field = json.dumps({"trunc": 30, "coeffs": {key: "1"}})
+        assert main(["compute", "nu1", "--curve", curve,
+                     "--fields", field]) == 2, key
+        out, err = capsys.readouterr()
+        assert out == "" and "canonical integer" in err
+    # two spellings of z^-1 used to merge silently into one coefficient
+    aliased = json.dumps({"trunc": 30, "coeffs": {"-1": "1", "-0_1": "2"}})
+    assert main(["compute", "nu1", "--curve", curve,
+                 "--fields", aliased]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_precision_precedence(tmp_path, capsys, monkeypatch):
     with_file = write_curve(
         tmp_path, dict(E5_JSON, precision=30), name="prec.json")

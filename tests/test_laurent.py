@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from periodjet.laurent import (
     INF, LaurentSeries, NonUnitLeadingCoefficient, NonzeroResidue, OddOrder,
     PrecisionExhausted, ZeroSeries, arith, derive, from_json, integrate,
-    invert, rational_from_str, rational_to_str, residue, sqrt_unit,
-    sqrt_unit_with_inverse, symplectic_pair, to_json)
+    int_from_key, invert, product_below, rational_from_str, rational_to_str,
+    residue, sqrt_unit, sqrt_unit_with_inverse, symplectic_pair, to_json)
+from periodjet.witt import from_json as diffop_from_json
 
-from series_reference import canon, fraction_sqrt_unit
+from series_reference import canon, fraction_sqrt_unit, full_product
 
 
 def random_series(rng, lo=-6, hi=6, trunc=None, nterms=5):
@@ -235,6 +236,44 @@ def test_sqrt_unit_with_inverse_monomials():
         sqrt_unit_with_inverse(LaurentSeries({0: 1, 2: 1}))
 
 
+@st.composite
+def truncated_series(draw):
+    """Sparse rational series with exponents in -8..8 and a truncation
+    that is exact or anywhere from -10 to 12; some have no visible term."""
+    trunc = draw(st.one_of(st.just(INF), st.integers(-10, 12)))
+    coeffs = draw(st.dictionaries(
+        st.integers(-8, 8),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        max_size=draw(st.sampled_from([0, 1, 4, 9]))))
+    return LaurentSeries(coeffs, trunc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(truncated_series(), truncated_series(),
+       st.one_of(st.just(INF), st.integers(-14, 14)))
+def test_product_below_is_truncated_product(a, b, cap):
+    full = full_product(a, b)
+    capped = product_below(a, b, cap)
+    assert canon(capped) == canon(full.truncate(cap))
+    assert canon(a * b) == canon(full)
+    w = cap - a.min_rule_order()
+    if math.isfinite(w):
+        # b is read only below cap - ord a
+        assert canon(product_below(a, b.truncate(w), cap)) == canon(capped)
+
+
+def test_product_below_caps():
+    a = LaurentSeries({-2: 1, 0: 3, 4: 1}, 7)
+    b = LaurentSeries({-1: 2, 1: 1})
+    # min-rule truncation 7 + (-1) = 6, capped
+    assert product_below(a, b, 0) == LaurentSeries({-3: 2, -1: 7}, 0)
+    assert product_below(a, b, -5) == LaurentSeries.zero(-5)
+    assert product_below(a, b, 100) == a * b and (a * b).trunc == 6
+    # a visible zero still limits the truncation
+    assert product_below(LaurentSeries.zero(2), b, 5) == \
+        LaurentSeries.zero(1)
+
+
 def test_residue():
     assert residue(LaurentSeries({-1: Fraction(5, 3), 2: 1}, 3)) == \
         Fraction(5, 3)
@@ -302,6 +341,25 @@ def test_json_rejects_bad_input():
         from_json({"trunc": 4, "coeffs": {"5": "1/1"}})  # exp >= trunc
     with pytest.raises(ValueError):
         from_json({"trunc": 4, "coeffs": {}, "tail": 0})
+
+
+def test_json_keys_must_be_canonical_integers():
+    assert from_json({"trunc": 4, "coeffs": {"0": "1", "-12": "2/3",
+                                             "3": "-1"}}) == \
+        LaurentSeries({0: 1, -12: Fraction(2, 3), 3: -1}, 4)
+    assert int_from_key("-40", "exponent") == -40
+    # each of these is int() of some integer, but not the way str() writes
+    # it, so two of them could name one exponent
+    for key in ("-01", "-0_1", " -1", "-1 ", "+1", "\u0663", "-0", "01",
+                "1\n", "", "-", "1.0", "0x1"):
+        with pytest.raises(ValueError, match="canonical integer"):
+            from_json({"trunc": 4, "coeffs": {key: "1"}})
+        with pytest.raises(ValueError, match="canonical integer"):
+            diffop_from_json({"terms": {key: {"trunc": 4, "coeffs": {}}}})
+    with pytest.raises(ValueError):
+        from_json({"trunc": 4, "coeffs": {"-1": "1", "-0_1": "2"}})
+    assert diffop_from_json({"terms": {"2": {"trunc": 4, "coeffs": {}}}}) \
+        .terms == {2: LaurentSeries.zero(4)}
 
 
 def test_str_forms():

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
-from periodjet.hodge import HomMatrix, is_symmetric_hom
-from periodjet.laurent import LaurentSeries, derive
+from periodjet.hodge import (
+    HomMatrix, UnreducibleExponent, is_symmetric_hom, rho)
+from periodjet.laurent import INF, LaurentSeries, PrecisionExhausted, derive
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
     canonical_second_rep, d2Phi, ell2, ell2_via_lie, ell1_n,
     ell1_n_contraction, ell_k_n, fundamental_form_II, in_nu1_image,
     jet_to_json, lie_on_form, nu1, nu1_image_generators, nu2,
     sym_sum_to_json, t2rep_from_json)
-from periodjet.witt import WittElement, witt_bracket
+from periodjet.witt import (
+    DiffOp, WittElement, diffop_compose, phi, witt_bracket)
+
+from series_reference import full_nu2, full_rho
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -192,6 +197,62 @@ def test_nu2_pair_order_immaterial():
     r2 = T2Rep(ups, [(b, a)])
     assert r1 == r2
     assert nu2(r1, E5) == nu2(r2, E5)
+
+
+# --- capped products against full-length references -----------------------
+
+def field_near_threshold(exp):
+    """Fields with a pole, whose products with h = g_j' are known to just
+    below or just above z^1 (the smallest order of h is 0), or exactly;
+    some have a pole at the edge of the basis window, precision - 2."""
+    edge = exp.precision - 2
+    exponents = st.tuples(
+        st.lists(st.integers(-8, -1), min_size=1, max_size=2),
+        st.lists(st.integers(-8, 6), max_size=2)
+        | st.lists(st.integers(-edge - 2, -edge + 2), max_size=1))
+    coefficient = st.fractions(-4, 4, max_denominator=5).filter(bool)
+    trunc = st.one_of(st.just(INF), st.integers(-3, 4),
+                      st.integers(5, exp.precision))
+
+    def field(es, cs, t):
+        return WittElement(LaurentSeries(dict(zip(es[0] + es[1], cs)), t))
+    return st.builds(field, exponents,
+                     st.lists(coefficient, min_size=5, max_size=5), trunc)
+
+
+def outcome(fn, *args):
+    """The matrix, or the type and message of the refusal."""
+    try:
+        return fn(*args)
+    except (PrecisionExhausted, UnreducibleExponent) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rho_matches_full_length_reference(exp, data):
+    fields = data.draw(st.lists(field_near_threshold(exp), min_size=1,
+                                max_size=2))
+    if data.draw(st.booleans()):
+        op = phi(fields[0])
+        for zeta in fields[1:]:
+            op = diffop_compose(phi(zeta), op)
+    else:  # any orders, not only those of composed phi-images
+        orders = data.draw(st.lists(st.integers(1, 4), min_size=len(fields),
+                                    max_size=len(fields), unique=True))
+        op = DiffOp({k: zeta.f for k, zeta in zip(orders, fields)})
+    assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
+
+
+@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_nu2_matches_full_length_reference(exp, data):
+    field = field_near_threshold(exp)
+    rep = T2Rep(data.draw(field),
+                data.draw(st.lists(st.tuples(field, field), max_size=1)))
+    assert outcome(nu2, rep, exp) == outcome(full_nu2, rep, exp)
 
 
 # --- higher orders ----------------------------------------------------------
