@@ -41,8 +41,9 @@ class UnreducibleExponent(Exception):
     """The sweep hit a pole order no basis element covers at this precision."""
 
 
-class H1OClass(object):
-    """Coordinates in the gap-monomial basis of H^1(O)."""
+class GapClass(object):
+    """Coordinates of a class in a gap basis: of H^1(O) from reduce_O, of
+    H^1(Theta) from reduce_Theta."""
 
     def __init__(self, coords, gaps):
         coords = [Fraction(c) for c in coords]
@@ -56,35 +57,12 @@ class H1OClass(object):
         return all(c == 0 for c in self.coords)
 
     def __eq__(self, other):
-        if not isinstance(other, H1OClass):
+        if not isinstance(other, GapClass):
             return NotImplemented
         return self.coords == other.coords and self.gaps == other.gaps
 
     def __repr__(self):
-        return "H1OClass(%r, gaps=%r)" % (self.coords, self.gaps)
-
-
-class KSClass(object):
-    """Coordinates in the gap-field basis of H^1(Theta)."""
-
-    def __init__(self, coords, gaps):
-        coords = [Fraction(c) for c in coords]
-        if len(coords) != len(gaps):
-            raise ValueError("expected %d coordinates, got %d"
-                             % (len(gaps), len(coords)))
-        self.coords = coords
-        self.gaps = list(gaps)
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, KSClass):
-            return NotImplemented
-        return self.coords == other.coords and self.gaps == other.gaps
-
-    def __repr__(self):
-        return "KSClass(%r, gaps=%r)" % (self.coords, self.gaps)
+        return "GapClass(%r, gaps=%r)" % (self.coords, self.gaps)
 
 
 class HomMatrix(object):
@@ -99,6 +77,11 @@ class HomMatrix(object):
                              % (len(gaps), len(gaps)))
         self.entries = rows
         self.basis_gaps = gaps
+
+    @classmethod
+    def from_columns(cls, columns, basis_gaps):
+        """The matrix whose column j is columns[j]."""
+        return cls([list(row) for row in zip(*columns)], basis_gaps)
 
     def is_zero(self):
         return all(x == 0 for r in self.entries for x in r)
@@ -177,7 +160,7 @@ def reduce_O(h, exp):
     """Class of h in H^1(O) = H/(H+ + K0); needs trunc(h) >= 1."""
     coords = _sweep(h, exp.gaps_O, exp.element_of_pole_O,
                     exp.precision - 2, 1, "H^1(O)")
-    return H1OClass([coords[n] for n in exp.gaps_O], exp.gaps_O)
+    return GapClass([coords[n] for n in exp.gaps_O], exp.gaps_O)
 
 
 def reduce_Theta(zeta, exp):
@@ -187,7 +170,7 @@ def reduce_Theta(zeta, exp):
         return None if elem is None else elem.f
     coords = _sweep(zeta.f, exp.gaps_Theta, coefficient_at,
                     exp.precision - 2, 0, "H^1(Theta)")
-    return KSClass([coords[n] for n in exp.gaps_Theta], exp.gaps_Theta)
+    return GapClass([coords[n] for n in exp.gaps_Theta], exp.gaps_Theta)
 
 
 def duality_matrix(exp):
@@ -207,14 +190,11 @@ def rho(op, exp):
     op(g_j) is formed only below z^1: reduce_O reads nothing above, so
     the matrix, and any exception, is the one the full op(g_j) gives.
     """
-    gaps = exp.gaps_O
     cols = []
     for gj in exp.h10_basis:
         cls = reduce_O(diffop_apply(op, gj, below=1), exp)
         cols.append([-c for c in cls.coords])
-    entries = [[cols[j][i] for j in range(len(gaps))]
-               for i in range(len(gaps))]
-    return HomMatrix(entries, gaps)
+    return HomMatrix.from_columns(cols, exp.gaps_O)
 
 
 def is_symmetric_hom(hom, exp):

@@ -146,10 +146,6 @@ class LaurentSeries(object):
         return LaurentSeries({e + k: c for e, c in self.coeffs.items()},
                              self.trunc + k)
 
-    def in_h_plus(self):
-        o = self.order()
-        return o is None or o >= 0
-
     def in_h_prime(self):
         return 0 not in self.coeffs
 
@@ -157,10 +153,6 @@ class LaurentSeries(object):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self.coeffs == other.coeffs and self.trunc == other.trunc
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __neg__(self):
         return LaurentSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
@@ -260,25 +252,6 @@ def product_below(a, b, cap):
                 else:
                     out[e] = c1 * c2
     return LaurentSeries(out, t)
-
-
-def arith(a, b, kind):
-    """Field operations with truncation propagation.
-
-    kind is one of "add", "sub", "mul", "scale"; for "scale" b is a rational
-    scalar. Truncations: min(ta,tb) for add/sub, min(ta+ord b, tb+ord a) for
-    mul (with ord of a visible zero taken as its truncation), unchanged for
-    scale. Zero results keep the propagated truncation.
-    """
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "scale":
-        return a.scaled(b)
-    raise ValueError("unknown arith kind %r" % (kind,))
 
 
 def derive(f):

@@ -9,12 +9,16 @@ with h = derive(g_j); contraction and Lie derivative act on series by
 
 Every differential is a HomMatrix (or a formal sum of symmetrized products
 of them). Two independent prescriptions exist for each order and the
-module implements both:
+module implements each once:
 
-    operator route      compose first-order operators phi(zeta_i), feed the
-                        reversed composition to rho, with sign (-1)^(n-1);
-    contraction route   iterate the Lie derivative on the form and contract
-                        with the last field, with sign (-1)^n, then reduce.
+    operator route      ell1_n: compose first-order operators phi(zeta_i),
+                        feed the reversed composition to rho, with sign
+                        (-1)^(n-1). The production route; nu1 and ell2 are
+                        its cases n = 1 and n = 2.
+    contraction route   ell1_n_contraction: iterate the Lie derivative on
+                        the form and contract with the last field, with
+                        sign (-1)^n, then reduce. The cross-check oracle;
+                        ell2_via_lie is its case n = 2.
 
 The two agree identically (L_zeta d(u) = d(phi(zeta) u)), which is the
 cross-check the acceptance suite pins. All remaining global signs are +1;
@@ -26,7 +30,7 @@ on the upsilon term of nu2 is forced to + by the last requirement.
 
 from fractions import Fraction
 
-from .hodge import HomMatrix, reduce_O, rho
+from .hodge import HomMatrix, hom_to_json, reduce_O, rho
 from .laurent import derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
@@ -131,38 +135,29 @@ def lie_on_form(zeta, h):
     return zeta.f * derive(h) + derive(zeta.f) * h
 
 
-def _columns_to_hom(cols, gaps):
-    entries = [[cols[j][i] for j in range(len(gaps))]
-               for i in range(len(gaps))]
-    return HomMatrix(entries, gaps)
-
-
 def nu1(zeta, exp):
-    """First differential: the matrix of rho(phi(zeta)).
+    """First differential: the matrix of rho(phi(zeta)), ell1_n at n = 1.
 
     Vanishes on d+ and on theta-sections; depends only on the class
     reduce_Theta(zeta).
     """
-    return rho(phi(zeta), exp)
+    return ell1_n([zeta], exp)
 
 
 def ell2(f1, f2, exp):
-    """Linear part of the second differential, operator route:
+    """Linear part of the second differential, ell1_n at n = 2:
     -rho(phi(f2) o phi(f1)). Column j is the class of f2 (f1 h)' with
     h = derive(g_j)."""
-    return rho(diffop_compose(phi(f2), phi(f1)), exp).scaled(-1)
+    return ell1_n([f1, f2], exp)
 
 
 def ell2_via_lie(f1, f2, exp):
-    """Same map by the contraction prescription: omega -> f2 -| L_f1 omega.
+    """Same map by the contraction prescription, ell1_n_contraction at
+    n = 2: omega -> f2 -| L_f1 omega.
 
     Termwise identical to ell2: f2 (f1 h' + f1' h) = f2 (f1 h)'.
     """
-    cols = []
-    for gj in exp.h10_basis:
-        h = derive(gj)
-        cols.append(reduce_O(f2.f * lie_on_form(f1, h), exp).coords)
-    return _columns_to_hom(cols, exp.gaps_O)
+    return ell1_n_contraction([f1, f2], exp)
 
 
 def d2Phi(f1, f2, exp):
@@ -227,7 +222,7 @@ def nu2(rep, exp):
                 product_below(zeta.f, lie_on_form(xi, h), 1)
             total = total + s.scaled(Fraction(1, 2))
         cols.append(reduce_O(total, exp).coords)
-    return _columns_to_hom(cols, exp.gaps_O)
+    return HomMatrix.from_columns(cols, exp.gaps_O)
 
 
 def _check_order(n, max_order):
@@ -267,8 +262,7 @@ def ell1_n_contraction(fields, exp, max_order=DEFAULT_MAX_ORDER):
         for zeta in fields[:-1]:
             h = lie_on_form(zeta, h)
         cols.append(reduce_O(fields[-1].f * h, exp).coords)
-    sign = (-1) ** n
-    return _columns_to_hom(cols, exp.gaps_O).scaled(sign)
+    return HomMatrix.from_columns(cols, exp.gaps_O).scaled((-1) ** n)
 
 
 def _set_partitions(indices, k):
@@ -343,14 +337,12 @@ def t2rep_from_json(obj):
 
 
 def jet_to_json(jet):
-    from .hodge import hom_to_json
     return {"linear": hom_to_json(jet.linear),
             "quadratic": [[hom_to_json(a), hom_to_json(b)]
                           for a, b in jet.quadratic]}
 
 
 def sym_sum_to_json(s):
-    from .hodge import hom_to_json
     out = {"terms": [{"factors": [hom_to_json(m) for m in t]}
                      for t in s.terms]}
     if s.interpretation is not None:

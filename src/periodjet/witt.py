@@ -24,8 +24,9 @@ non-symplectic second derivative g -> g'' fails already at radius 4.
 from math import comb
 
 from .laurent import (
-    INF, LaurentSeries, arith, derive, int_from_key, product_below,
-    symplectic_pair)
+    INF, LaurentSeries, derive, int_from_key, product_below, symplectic_pair)
+from .laurent import from_json as series_from_json
+from .laurent import to_json as series_to_json
 
 
 class WittElement(object):
@@ -40,18 +41,10 @@ class WittElement(object):
     def monomial(cls, exponent, coefficient=1):
         return cls(LaurentSeries.monomial(exponent, coefficient))
 
-    def in_d_plus(self):
-        """Membership in d+ = H+ d/dz (vector fields regular at 0)."""
-        return self.f.in_h_plus()
-
     def __eq__(self, other):
         if not isinstance(other, WittElement):
             return NotImplemented
         return self.f == other.f
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __neg__(self):
         return WittElement(-self.f)
@@ -107,16 +100,12 @@ class DiffOp(object):
             return NotImplemented
         return self.terms == other.terms
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __add__(self, other):
         if not isinstance(other, DiffOp):
             return NotImplemented
         out = dict(self.terms)
         for k, a in other.terms.items():
-            out[k] = arith(out[k], a, "add") if k in out else a
+            out[k] = out[k] + a if k in out else a
         return DiffOp(out)
 
     def __neg__(self):
@@ -217,13 +206,11 @@ def sp_witness(op, radius):
 
 def to_json(op):
     """JSON form {"terms": {"<order>": <series JSON>}}."""
-    from .laurent import to_json as series_to_json
     return {"terms": {str(k): series_to_json(a)
                       for k, a in op.terms.items()}}
 
 
 def from_json(obj):
-    from .laurent import from_json as series_from_json
     if not isinstance(obj, dict) or set(obj) - {"terms"}:
         raise ValueError("operator JSON must be {\"terms\": {...}}")
     raw = obj.get("terms", {})

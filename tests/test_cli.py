@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from periodjet.cli import (
 from periodjet.curve import HyperellipticCurve, expand_curve
 
 E5_JSON = {"p": ["1", "0", "0", "0", "0", "1"]}
+E7_JSON = {"p": ["1", "-1", "0", "0", "0", "0", "0", "1"]}
 FIELD = json.dumps({"trunc": 30, "coeffs": {"-1": "1"}})
 PAIR = json.dumps([{"trunc": 30, "coeffs": {"-1": "1"}},
                    {"trunc": 30, "coeffs": {"-3": "2"}}])
@@ -47,6 +49,89 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
     _, first = run(capsys, argv)
     _, second = run(capsys, argv)
     assert first == second
+
+
+F1 = {"trunc": 30, "coeffs": {"-3": "1/2", "-1": "1", "2": "-3"}}
+F2 = {"trunc": 24, "coeffs": {"-5": "2", "-2": "-1/3", "0": "1"}}
+F3 = {"trunc": 20, "coeffs": {"-1": "-2", "1": "5/7"}}
+PINNED_FIELDS = {
+    "nu1": F1, "ell2": [F1, F2], "ell2-lie": [F1, F2], "d2phi": [F1, F2],
+    "ii": [F1, F2],
+    "nu2": {"upsilon": {"trunc": 26, "coeffs": {"-4": "3/2", "-1": "1"}},
+            "sym_pairs": [[F1, F2], [F3, F3]]},
+    "elln": [F1, F2, F3],
+}
+# sha256 of the full stdout of each call
+PINNED_STDOUT = {
+    ("x^5 + 1", "info"):
+        "6e6afe50b1e6531a4f50c46558d5c98de2322c91359668279e996ea4354c6653",
+    ("x^5 + 1", "nu1"):
+        "b2eb37476846df693a080e4e3fbdccb90b5aa6328935d94b6ef68864c72a8360",
+    ("x^5 + 1", "ell2"):
+        "a31586dfafcb56d33264a38452d840ab1df950dcb8d248b94b6cc0b7a4ea3937",
+    ("x^5 + 1", "ell2-lie"):
+        "8577240173b2ac7615a4e268ed0754b81eb27fed3318aa01bac2729b49748ea1",
+    ("x^5 + 1", "d2phi"):
+        "4b66d90a5eb3a702c7d9bf4d85366c3b68320a50fb0b19bbd77b031bb5e7abde",
+    ("x^5 + 1", "ii"):
+        "6a4f888a393f9ff8b069735ac26c0ec4916351323e1e7e9347a24c3fb4c927dc",
+    ("x^5 + 1", "nu2"):
+        "a2d35b39a8ec3f692ba0bbb363f6ac79df8485bd14fa7dd1000c37c6227679c6",
+    ("x^5 + 1", "elln"):
+        "132d72e9fb29d09d7fa3595a37f97ef5dbf5a7370d69ddfa36fba6173c237c96",
+    ("x^5 + 1", "elln-k2"):
+        "728afb46d3a4ea904f7746e3e64e3244fa743d2d0af7d4cab676a8f7f2a3b8b8",
+    ("x^7 - x + 1", "info"):
+        "25235397c060598cba3e0c7ee39b985612e4455ab3078503be2674911cee3540",
+    ("x^7 - x + 1", "nu1"):
+        "b7d8617af76ba66b9eb744bc4dbcafd4460d9673b42d561780afed80cbbd133f",
+    ("x^7 - x + 1", "ell2"):
+        "335fbbdc483a7a93540cd78aa688672205c959ce45739837b968b00d7d40df23",
+    ("x^7 - x + 1", "ell2-lie"):
+        "0de403e51b4265b7874f49ff983333523ac9f2513c0892f8231715bb509fba40",
+    ("x^7 - x + 1", "d2phi"):
+        "da24cd8b4f0bcab6db4cabf2de21c839bc9ececae0844b93725bc2432e906e18",
+    ("x^7 - x + 1", "ii"):
+        "56e614de9adcd5ed536f7632b7c4c985869cf4bf59a76e2684113662dd990dcb",
+    ("x^7 - x + 1", "nu2"):
+        "0ff8480af470d28ce86070a2f8522d8032bc2fcad25e03e06b884aa3f874edee",
+    ("x^7 - x + 1", "elln"):
+        "402d893de9cf0bc85ed62bdf99418c9ccf0446ac5b0f9ec6494328ed96462626",
+    ("x^7 - x + 1", "elln-k2"):
+        "248d2aeb61a7d024ee9721d0ddd479c15a4cdfca10a03a67bb64d196bf4117d0",
+}
+
+
+@pytest.mark.parametrize("label, which", sorted(PINNED_STDOUT))
+def test_output_bytes_are_pinned(tmp_path, capsys, label, which):
+    curve = write_curve(tmp_path, E5_JSON if label == "x^5 + 1" else E7_JSON)
+    if which == "info":
+        argv = ["info", "--curve", curve]
+    elif which == "elln-k2":
+        argv = ["compute", "elln", "--curve", curve, "--k", "2",
+                "--fields", json.dumps(PINNED_FIELDS["elln"])]
+    else:
+        argv = ["compute", which, "--curve", curve,
+                "--fields", json.dumps(PINNED_FIELDS[which])]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_STDOUT[label, which]
+
+
+def test_error_bytes_are_pinned(tmp_path, capsys):
+    curve = write_curve(tmp_path)
+    short = [{"trunc": 2, "coeffs": {"-1": "1"}}, F2]
+    assert main(["compute", "ell2-lie", "--curve", curve,
+                 "--fields", json.dumps(short)]) == 3
+    assert capsys.readouterr() == (
+        "", "periodjet: PrecisionExhausted: H^1(O) reduction needs "
+            "truncation >= 1, input has -2\n")
+    assert main(["compute", "elln", "--curve", curve,
+                 "--fields", json.dumps([F1, F2, F3, F1, F2])]) == 4
+    assert capsys.readouterr() == (
+        "", "periodjet: 5 fields exceed the configured maximum order 4\n")
 
 
 def test_compute_nu1_and_symmetry_report(tmp_path, capsys):
@@ -202,6 +287,26 @@ def test_field_exponent_keys_must_be_canonical(tmp_path, capsys):
     assert main(["compute", "nu1", "--curve", curve,
                  "--fields", aliased]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_repeated_json_keys_are_input_errors(tmp_path, capsys):
+    curve = write_curve(tmp_path)
+    field = '{"trunc": 30, "coeffs": {"-1": "1", "-1": "2"}}'
+    assert main(["compute", "nu1", "--curve", curve, "--fields", field]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'-1'" in err
+    two_p = tmp_path / "two_p.json"
+    two_p.write_text('{"p": ["1", "0", "0", "0", "0", "1"], '
+                     '"p": ["1", "-1", "0", "0", "0", "0", "0", "1"]}')
+    assert main(["info", "--curve", str(two_p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'p'" in err
+    rep = ('{"upsilon": {"trunc": 30, "coeffs": {}}, '
+           '"upsilon": {"trunc": 30, "coeffs": {"-1": "1"}}, '
+           '"sym_pairs": []}')
+    assert main(["compute", "nu2", "--curve", curve, "--fields", rep]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'upsilon'" in err
 
 
 def test_precision_precedence(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
 from periodjet.hodge import (
-    H1OClass, HomMatrix, KSClass, UnreducibleExponent, duality_det,
+    GapClass, HomMatrix, UnreducibleExponent, duality_det,
     duality_matrix, hom_from_json, hom_to_json, is_symmetric_hom, reduce_O,
     reduce_Theta, rho)
 from periodjet.laurent import (
@@ -41,7 +41,7 @@ def test_reduce_O_gap_monomials_and_k0():
             cls = reduce_O(LaurentSeries.monomial(-n), e)
             want = [Fraction(0)] * g
             want[idx] = Fraction(1)
-            assert cls == H1OClass(want, e.gaps_O)
+            assert cls == GapClass(want, e.gaps_O)
         for _, k in e.k0_basis:
             assert reduce_O(k, e).is_zero()
         # anything in H+ dies too
@@ -104,7 +104,7 @@ def test_reduce_Theta_gap_fields_and_theta():
             cls = reduce_Theta(WittElement.monomial(-n), e)
             want = [Fraction(0)] * (3 * e.curve.genus - 3)
             want[idx] = Fraction(1)
-            assert cls == KSClass(want, e.gaps_Theta)
+            assert cls == GapClass(want, e.gaps_Theta)
         for _, w in e.theta_basis:
             assert reduce_Theta(w, e).is_zero()
         assert reduce_Theta(WittElement.monomial(0), e).is_zero()

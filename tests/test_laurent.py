@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodjet.laurent import (
     INF, LaurentSeries, NonUnitLeadingCoefficient, NonzeroResidue, OddOrder,
-    PrecisionExhausted, ZeroSeries, arith, derive, from_json, integrate,
+    PrecisionExhausted, ZeroSeries, derive, from_json, integrate,
     int_from_key, invert, product_below, rational_from_str, rational_to_str,
     residue, sqrt_unit, sqrt_unit_with_inverse, symplectic_pair, to_json)
 from periodjet.witt import from_json as diffop_from_json
@@ -31,6 +31,10 @@ def test_constructor_normalizes():
     assert LaurentSeries({}, 3).is_visible_zero()
     with pytest.raises(ValueError):
         LaurentSeries({0: 1}, trunc=2.5)
+    assert not (f != LaurentSeries({-1: 3}, 5))
+    assert f != LaurentSeries({-1: 3}, 6)
+    assert f != LaurentSeries({-1: 2}, 5)
+    assert LaurentSeries.one() != 1 and 1 != LaurentSeries.one()
 
 
 def test_coeff_access_and_precision():
@@ -47,10 +51,10 @@ def test_coeff_access_and_precision():
 def test_add_sub_trunc_rule():
     a = LaurentSeries({-1: 1, 2: 3}, 5)
     b = LaurentSeries({2: -3, 4: 1}, 7)
-    s = arith(a, b, "add")
+    s = a + b
     assert s.trunc == 5
     assert s.coeffs == {-1: Fraction(1), 4: Fraction(1)}
-    d = arith(a, a, "sub")
+    d = a - a
     assert d.is_visible_zero() and d.trunc == 5
     exact = LaurentSeries.monomial(0) + LaurentSeries.monomial(3)
     assert exact.trunc is INF
@@ -60,7 +64,7 @@ def test_mul_trunc_rule():
     # trunc(ab) = min(ta + ord b, tb + ord a)
     a = LaurentSeries({-2: 1}, 3)
     b = LaurentSeries({1: 1, 2: 5}, 6)
-    p = arith(a, b, "mul")
+    p = a * b
     assert p.trunc == min(3 + 1, 6 - 2)
     assert p.coeffs == {-1: Fraction(1), 0: Fraction(5)}
     # visible zero: its order counts as its truncation
@@ -74,16 +78,10 @@ def test_mul_trunc_rule():
 
 def test_scale_keeps_trunc():
     a = LaurentSeries({-1: 2, 3: 4}, 6)
-    s = arith(a, Fraction(1, 2), "scale")
+    s = a.scaled(Fraction(1, 2))
     assert s.trunc == 6 and s.coeffs == {-1: Fraction(1), 3: Fraction(2)}
-    assert arith(a, 0, "scale").is_visible_zero()
-    assert arith(a, 0, "scale").trunc == 6
-
-
-def test_arith_rejects_unknown_kind():
-    a = LaurentSeries.one()
-    with pytest.raises(ValueError):
-        arith(a, a, "div")
+    assert a.scaled(0).is_visible_zero()
+    assert a.scaled(0).trunc == 6
 
 
 def test_derive_integrate_roundtrip():

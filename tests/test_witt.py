@@ -25,6 +25,9 @@ def test_bracket_monomials():
             lhs = witt_bracket(WittElement.monomial(a + 1),
                                WittElement.monomial(b + 1))
             assert lhs == WittElement.monomial(a + b + 1, b - a)
+            assert not (lhs != WittElement.monomial(a + b + 1, b - a))
+            assert lhs != WittElement.monomial(a + b + 1, b - a + 1)
+    assert WittElement.monomial(0) != LaurentSeries.one()
 
 
 def test_bracket_alternating_and_jacobi():
@@ -141,10 +144,12 @@ def test_diffop_constructor_invariants():
     with pytest.raises(ValueError):
         DiffOp({1: "not a series"})
     assert DiffOp({1: LaurentSeries.zero()}) == DiffOp.zero()
+    assert not (DiffOp({1: LaurentSeries.zero()}) != DiffOp.zero())
     assert DiffOp({2: LaurentSeries.one()}).max_order() == 2
     # a zero known only below z^-3 is kept: its truncation bounds the image
     unknown = DiffOp({1: LaurentSeries.zero(-3)})
     assert unknown != DiffOp.zero()
+    assert DiffOp.zero() != None  # noqa: E711 (a foreign operand)
     image = diffop_apply(unknown, LaurentSeries.monomial(-2))
     assert image.is_visible_zero() and image.trunc == -6
 
