@@ -18,6 +18,12 @@ H' and is the single primitive everything downstream is built from.
 
 Scalars are `fractions.Fraction` throughout: always lowest terms, positive
 denominator, arbitrary precision.
+
+Validation happens where values enter: the LaurentSeries(...) constructor
+and from_json() check exponents, coefficients and the truncation. Every
+series an operation of this module returns is built by
+LaurentSeries._trusted() from fields the operation has just formed, which
+already meet the constructor's invariant, so they are not checked again.
 """
 
 import math
@@ -69,11 +75,21 @@ def rational_from_str(s):
 
 
 def int_from_key(k, what):
-    """Parse a JSON object key written as str(int): exactly the form
-    0|-?[1-9][0-9]*, so that no two accepted keys name the same integer."""
+    """Parse an integer written as str(int) writes it, such as a JSON
+    object key: exactly the form 0|-?[1-9][0-9]*, so that no two accepted
+    strings name the same integer."""
     if not isinstance(k, str) or not _INTEGER_KEY.fullmatch(k):
         raise ValueError("%s key %r is not a canonical integer" % (what, k))
     return int(k)
+
+
+def _checked_trunc(trunc):
+    """trunc as a series stores it: an int, or INF for any +infinity."""
+    if isinstance(trunc, float) and math.isinf(trunc) and trunc > 0:
+        return INF  # canonicalize arithmetic like INF - 1
+    if not isinstance(trunc, int) or isinstance(trunc, bool):
+        raise ValueError("trunc must be an int or math.inf")
+    return trunc
 
 
 def rational_to_str(q):
@@ -90,10 +106,7 @@ class LaurentSeries(object):
     """
 
     def __init__(self, coeffs=None, trunc=INF):
-        if isinstance(trunc, float) and math.isinf(trunc) and trunc > 0:
-            trunc = INF  # canonicalize arithmetic like INF - 1
-        elif not isinstance(trunc, int) or isinstance(trunc, bool):
-            raise ValueError("trunc must be an int or math.inf")
+        trunc = _checked_trunc(trunc)
         stored = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -107,16 +120,35 @@ class LaurentSeries(object):
         self.trunc = trunc
 
     @classmethod
+    def _trusted(cls, coeffs, trunc):
+        """A series made from fields that are not checked again.
+
+        The caller hands over a fresh dict that maps int exponents below
+        trunc to nonzero Fractions, and an int or infinite trunc. An
+        infinite trunc is stored as INF itself, because exactness is
+        tested with `trunc is INF` and INF - 1 is another float object.
+        """
+        s = object.__new__(cls)
+        s.coeffs = coeffs
+        s.trunc = INF if trunc == INF else trunc
+        return s
+
+    @classmethod
     def zero(cls, trunc=INF):
-        return cls({}, trunc)
+        return cls._trusted({}, _checked_trunc(trunc))
 
     @classmethod
     def monomial(cls, exponent, coefficient=1, trunc=INF):
-        return cls({exponent: Fraction(coefficient)}, trunc)
+        if not isinstance(exponent, int):
+            raise ValueError("exponent must be an int, got %r" % (exponent,))
+        c = Fraction(coefficient)
+        trunc = _checked_trunc(trunc)
+        return cls._trusted({exponent: c} if c and exponent < trunc else {},
+                            trunc)
 
     @classmethod
     def one(cls, trunc=INF):
-        return cls({0: Fraction(1)}, trunc)
+        return cls.monomial(0, 1, trunc)
 
     def order(self):
         """Smallest stored exponent, or None if no terms are visible."""
@@ -138,13 +170,16 @@ class LaurentSeries(object):
 
     def truncate(self, trunc):
         """Forget all coefficients at exponents >= trunc."""
-        t = min(self.trunc, trunc)
-        return LaurentSeries({e: c for e, c in self.coeffs.items() if e < t}, t)
+        t = min(self.trunc, _checked_trunc(trunc))
+        return LaurentSeries._trusted(
+            {e: c for e, c in self.coeffs.items() if e < t}, t)
 
     def shift(self, k):
         """Multiply by z^k (exact)."""
-        return LaurentSeries({e + k: c for e, c in self.coeffs.items()},
-                             self.trunc + k)
+        if not isinstance(k, int):
+            raise ValueError("shift must be an int, got %r" % (k,))
+        return LaurentSeries._trusted(
+            {e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
 
     def in_h_prime(self):
         return 0 not in self.coeffs
@@ -155,21 +190,18 @@ class LaurentSeries(object):
         return self.coeffs == other.coeffs and self.trunc == other.trunc
 
     def __neg__(self):
-        return LaurentSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
+        return LaurentSeries._trusted(
+            {e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __add__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        t = min(self.trunc, other.trunc)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentSeries(out, t)
+        return _sum(self, other, False)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, True)
 
     def min_rule_order(self):
         """The order the min-rule of products uses: the smallest stored
@@ -192,8 +224,10 @@ class LaurentSeries(object):
 
     def scaled(self, c):
         c = Fraction(c)
-        return LaurentSeries({e: c * v for e, v in self.coeffs.items()},
-                             self.trunc)
+        if not c:
+            return LaurentSeries._trusted({}, self.trunc)
+        return LaurentSeries._trusted(
+            {e: v * c for e, v in self.coeffs.items()}, self.trunc)
 
     def __str__(self):
         if not self.coeffs:
@@ -221,6 +255,31 @@ class LaurentSeries(object):
         return "LaurentSeries(%r, trunc=%r)" % (self.coeffs, self.trunc)
 
 
+def _sum(a, b, negate):
+    """a + b, or a - b when negate is set. Terms at or above the smaller
+    truncation are dropped, and so are the sums that cancel to zero."""
+    t = min(a.trunc, b.trunc)
+    if a.trunc == t:
+        out = dict(a.coeffs)
+    else:
+        out = {e: c for e, c in a.coeffs.items() if e < t}
+    for e, c in b.coeffs.items():
+        if e >= t:
+            continue
+        if negate:
+            c = -c
+        prev = out.get(e)
+        if prev is None:
+            out[e] = c
+        else:
+            prev += c
+            if prev:
+                out[e] = prev
+            else:
+                del out[e]
+    return LaurentSeries._trusted(out, t)
+
+
 def product_below(a, b, cap):
     """(a * b).truncate(cap), forming only the terms below z^cap.
 
@@ -234,7 +293,8 @@ def product_below(a, b, cap):
     b.truncate(w) gives the same result: its truncation and order can
     only change the min-rule in terms that are >= cap anyway.
     """
-    t = min(a.trunc + b.min_rule_order(), b.trunc + a.min_rule_order(), cap)
+    t = min(a.trunc + b.min_rule_order(), b.trunc + a.min_rule_order(),
+            _checked_trunc(cap))
     out = {}
     if a.coeffs and b.coeffs:
         terms_b = sorted(b.coeffs.items())
@@ -251,13 +311,13 @@ def product_below(a, b, cap):
                     out[e] += c1 * c2
                 else:
                     out[e] = c1 * c2
-    return LaurentSeries(out, t)
+    return LaurentSeries._trusted({e: c for e, c in out.items() if c}, t)
 
 
 def derive(f):
     """d/dz, termwise; the truncation drops by one."""
-    return LaurentSeries({e - 1: e * c for e, c in f.coeffs.items() if e != 0},
-                         f.trunc - 1)
+    return LaurentSeries._trusted(
+        {e - 1: c * e for e, c in f.coeffs.items() if e != 0}, f.trunc - 1)
 
 
 def integrate(f):
@@ -271,7 +331,7 @@ def integrate(f):
     if f.coeffs.get(-1, 0) != 0:
         raise NonzeroResidue("series has residue %s, not integrable in H"
                              % (f.coeffs[-1],))
-    return LaurentSeries(
+    return LaurentSeries._trusted(
         {e + 1: c / (e + 1) for e, c in f.coeffs.items() if e != -1},
         f.trunc + 1)
 
@@ -308,7 +368,7 @@ def invert(f):
                 s += uj * v[i - j]
         v[i] = -s
     out = {i - o: c / lead for i, c in enumerate(v) if c != 0}
-    return LaurentSeries(out, f.trunc - 2 * o)
+    return LaurentSeries._trusted(out, f.trunc - 2 * o)
 
 
 def _sqrt_unit_numerators(f):
@@ -361,7 +421,7 @@ def _over_powers(nums, s, k, start, trunc):
         if c:
             out[start + i * k] = Fraction(c, scale)
         scale *= s
-    return LaurentSeries(out, trunc)
+    return LaurentSeries._trusted(out, trunc)
 
 
 def sqrt_unit(f):
@@ -395,24 +455,42 @@ def sqrt_unit_with_inverse(f):
             _over_powers(inv, s, k, -(o // 2), f.trunc - 3 * (o // 2)))
 
 
-def residue(f):
-    """Coefficient of z^-1; requires it to be visible (trunc >= 0)."""
-    if f.trunc < 0:
+def _require_residue(trunc):
+    """Raise unless a series known below z^trunc has a known z^-1 term."""
+    if trunc < 0:
         raise PrecisionExhausted(
             "residue needs the z^-1 coefficient, series only known below "
-            "z^%s" % (f.trunc,))
+            "z^%s" % (trunc,))
+
+
+def residue(f):
+    """Coefficient of z^-1; requires it to be visible (trunc >= 0)."""
+    _require_residue(f.trunc)
     return f.coeffs.get(-1, Fraction(0))
 
 
 def symplectic_pair(f, g):
-    """<f,g> = Res_{z=0} f dg.
+    """<f,g> = Res_{z=0} f dg = sum_e e * g_e * f_(-e), over stored terms.
 
     Antisymmetric on H' (integration by parts: <f,g>+<g,f> = Res d(fg) = 0
-    for any f,g, without restriction). Only the terms of f*g' below z^0
-    are formed; PrecisionExhausted is raised when the product is not known
-    at z^-1, which the cap does not change.
+    for any f,g, without restriction). The guard is the one the product
+    f * dg gets from the min-rule: with dg = derive(g), the product is
+    known below t = min(trunc f + ord dg, trunc dg + ord f), ord as in
+    min_rule_order(), and PrecisionExhausted is raised when t <= -1, with
+    the message residue() gives. dg itself is never formed: its order is
+    one less than the smallest nonconstant exponent of g, or, when g has
+    no such term, its truncation trunc g - 1.
     """
-    return residue(product_below(f, derive(g), 0))
+    dg_order = min((e for e in g.coeffs if e), default=g.trunc) - 1
+    _require_residue(min(f.trunc + dg_order,
+                         g.trunc - 1 + f.min_rule_order(), 0))
+    fc = f.coeffs
+    total = Fraction(0)
+    for e, c in g.coeffs.items():
+        h = fc.get(-e)
+        if h is not None:
+            total += c * h * e
+    return total
 
 
 def to_json(f):

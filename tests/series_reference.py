@@ -1,11 +1,12 @@
 """Plain references that the fast kernels are tested against: Fraction
-recurrences for the integer square root, and full-length products for the
-routes that form only the coefficients a reduction reads."""
+recurrences for the integer square root, full-length products for the
+routes that form only the coefficients a reduction reads, and the residue
+pairing read off a full product."""
 
 from fractions import Fraction
 
 from periodjet.hodge import HomMatrix, reduce_O
-from periodjet.laurent import LaurentSeries, derive
+from periodjet.laurent import LaurentSeries, derive, residue
 from periodjet.period import lie_on_form
 from periodjet.witt import diffop_apply
 
@@ -44,6 +45,12 @@ def full_product(a, b):
             if e1 + e2 < t:
                 out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
     return LaurentSeries(out, t)
+
+
+def full_symplectic_pair(f, g):
+    """<f,g> = Res f dg as the residue of the whole product f * derive(g),
+    with its min-rule truncation deciding whether z^-1 is known."""
+    return residue(full_product(f, derive(g)))
 
 
 def _columns(cols, gaps):

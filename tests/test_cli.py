@@ -5,7 +5,8 @@ import json
 import pytest
 
 from periodjet.cli import (
-    EXPECTED_REGRESSIONS, main, poly_label, run_checks)
+    EXPECTED_REGRESSIONS, MAX_PRECISION, _resolve_precision, main,
+    poly_label, run_checks)
 from periodjet.curve import HyperellipticCurve, expand_curve
 
 E5_JSON = {"p": ["1", "0", "0", "0", "0", "1"]}
@@ -323,6 +324,42 @@ def test_precision_precedence(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PERIODJET_PRECISION", "many")
     assert main(["info", "--curve", without]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [" 40 ", "4_0", "+40", "\u0664\u0660"])
+def test_precision_env_must_be_canonical(tmp_path, capsys, monkeypatch,
+                                         text):
+    # int() reads each of these as 40
+    monkeypatch.setenv("PERIODJET_PRECISION", text)
+    assert main(["info", "--curve", write_curve(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "PERIODJET_PRECISION must be an integer" in err
+
+
+@pytest.mark.parametrize("source", ["--precision", "the curve file",
+                                    "PERIODJET_PRECISION"])
+def test_precision_ceiling(tmp_path, capsys, monkeypatch, source):
+    over = MAX_PRECISION + 1
+    argv = ["info", "--curve", write_curve(tmp_path)]
+    if source == "--precision":
+        argv += ["--precision", str(over)]
+    elif source == "the curve file":
+        argv[2] = write_curve(tmp_path, dict(E5_JSON, precision=over),
+                              name="over.json")
+    else:
+        monkeypatch.setenv("PERIODJET_PRECISION", str(over))
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "precision %d from %s is above the ceiling MAX_PRECISION = %d" \
+        % (over, source, MAX_PRECISION) in err
+    if source == "PERIODJET_PRECISION":  # check resolves the env var too
+        assert main(["check"]) == 3
+        assert capsys.readouterr().out == ""
+    flag = MAX_PRECISION if source == "--precision" else None
+    file_value = MAX_PRECISION if source == "the curve file" else None
+    monkeypatch.setenv("PERIODJET_PRECISION", str(MAX_PRECISION))
+    assert _resolve_precision(flag, file_value, 2) == MAX_PRECISION
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -12,7 +12,8 @@ from periodjet.laurent import (
     residue, sqrt_unit, sqrt_unit_with_inverse, symplectic_pair, to_json)
 from periodjet.witt import from_json as diffop_from_json
 
-from series_reference import canon, fraction_sqrt_unit, full_product
+from series_reference import (
+    canon, fraction_sqrt_unit, full_product, full_symplectic_pair)
 
 
 def random_series(rng, lo=-6, hi=6, trunc=None, nterms=5):
@@ -272,6 +273,44 @@ def test_product_below_caps():
         LaurentSeries.zero(1)
 
 
+def assert_constructor_invariant(r):
+    """r is what LaurentSeries(...) would build from its own fields."""
+    assert type(r) is LaurentSeries
+    if math.isinf(r.trunc):
+        assert r.trunc is INF
+    else:
+        assert type(r.trunc) is int
+    for e, c in r.coeffs.items():
+        assert type(e) is int and type(c) is Fraction
+        assert c != 0 and e < r.trunc
+    assert canon(r) == canon(LaurentSeries(dict(r.coeffs), r.trunc))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(truncated_series(), truncated_series(),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.one_of(st.just(INF), st.integers(-14, 14)), st.integers(-5, 5))
+def test_internal_results_meet_the_constructor_invariant(a, b, c, cut, k):
+    results = [a + b, b + a, a - b, a - a, a + (-a), a + a.scaled(-1), -a,
+               a.scaled(c), a.scaled(0), a * c, a.truncate(cut), a.shift(k),
+               derive(a), derive(derive(a)), a * b, product_below(a, b, cut),
+               (a + b) * (a - b), product_below(a + b, a - b, cut),
+               LaurentSeries.monomial(k, c, cut), LaurentSeries.zero(cut),
+               LaurentSeries.one(cut)]
+    if a.trunc >= 0:
+        results.append(integrate(a - LaurentSeries.monomial(-1, a.coeff(-1))))
+    for r in results:
+        assert_constructor_invariant(r)
+    assert (a - a).is_visible_zero() and (a + (-a)).is_visible_zero()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(unit_series())
+def test_sqrt_results_meet_the_constructor_invariant(f):
+    for r in (sqrt_unit(f),) + sqrt_unit_with_inverse(f):
+        assert_constructor_invariant(r)
+
+
 def test_residue():
     assert residue(LaurentSeries({-1: Fraction(5, 3), 2: 1}, 3)) == \
         Fraction(5, 3)
@@ -296,6 +335,54 @@ def test_symplectic_pair_antisymmetric():
         f = random_series(rng, lo=-5, hi=6)
         g = random_series(rng, lo=-5, hi=6)
         assert symplectic_pair(f, g) == -symplectic_pair(g, f)
+
+
+@st.composite
+def pairing_operands(draw):
+    """(f, g) for the pairing: free draws, a g whose only term is its
+    constant, and pairs with matching terms z^-e, z^e whose truncations
+    are placed around where z^-1 of f*dg stops being known."""
+    f = draw(truncated_series())
+    kind = draw(st.sampled_from(["free", "constant g", "f near", "g near"]))
+    if kind == "free":
+        return f, draw(truncated_series())
+    if kind == "constant g":
+        return f, LaurentSeries(
+            {0: draw(st.sampled_from([1, -2, Fraction(3, 5)]))},
+            draw(st.one_of(st.just(INF), st.integers(-2, 6))))
+    nonzero = st.fractions(min_value=-5, max_value=5,
+                           max_denominator=7).filter(bool)
+    g = LaurentSeries(draw(st.dictionaries(
+        st.integers(-8, 8).filter(bool), nonzero, min_size=1, max_size=5)))
+    coeffs = dict(f.coeffs)
+    for e in g.coeffs:
+        coeffs[-e] = draw(nonzero)
+    f = LaurentSeries(coeffs)
+    near = draw(st.integers(-2, 2))
+    if kind == "f near":
+        # trunc f + ord dg = near: z^-1 is known from near = 0 on
+        f = LaurentSeries(f.coeffs, 1 - min(g.coeffs) + near)
+    else:
+        # trunc dg + ord f = near - 1
+        g = LaurentSeries(g.coeffs, -f.order() + near)
+    return f, g
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionExhausted as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairing_operands())
+def test_symplectic_pair_matches_full_product(operands):
+    f, g = operands
+    got = _outcome(symplectic_pair, f, g)
+    assert got == _outcome(full_symplectic_pair, f, g)
+    if not isinstance(got, tuple):
+        assert type(got) is Fraction
 
 
 def test_rational_strings():
