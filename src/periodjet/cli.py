@@ -15,8 +15,9 @@ wall-clock timings, which is the one non-reproducible field.
 
 Precision resolution order: --precision flag, then the "precision" field
 of the curve file, then the PERIODJET_PRECISION environment variable,
-then the default 8g+24. A precision above MAX_PRECISION from any of the
-first three is a precision error.
+then the default 8g+24. A precision above MAX_PRECISION from any of them
+is a precision error, and so is a curve whose precision floor 4g+4 is
+above it.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 precision
 error, 4 unsupported order.
@@ -31,8 +32,8 @@ import time
 from fractions import Fraction
 
 from .curve import (
-    HyperellipticCurve, curve_from_json, curve_to_json, default_precision,
-    expand_curve)
+    GenusAboveLimit, HyperellipticCurve, curve_from_json, curve_to_json,
+    default_precision, expand_curve, precision_floor)
 from .hodge import (
     UnreducibleExponent, duality_det, hom_to_json, is_symmetric_hom)
 from .laurent import (
@@ -57,6 +58,8 @@ EXIT_ORDER = 4
 # 1600 and 99 s at 3200 on a 2-vCPU Xeon VM). The library takes any
 # precision.
 MAX_PRECISION = 1024
+# the largest genus whose precision floor 4g + 4 is within the ceiling
+MAX_GENUS = (MAX_PRECISION - 4) // 4
 
 FIXTURE_CURVES = ([1, 0, 0, 0, 0, 1],          # y^2 = x^5 + 1
                   [1, -1, 0, 0, 0, 0, 0, 1])   # y^2 = x^7 - x + 1
@@ -497,13 +500,14 @@ def _resolve_precision(flag_value, file_value, genus):
     else:
         env = os.environ.get("PERIODJET_PRECISION")
         if env is None:
-            return default_precision(genus)
-        try:
-            precision = int_from_key(env, "PERIODJET_PRECISION")
-        except ValueError:
-            raise ValueError(
-                "PERIODJET_PRECISION must be an integer, got %r" % env)
-        source = "PERIODJET_PRECISION"
+            precision, source = default_precision(genus), "the default 8g + 24"
+        else:
+            try:
+                precision = int_from_key(env, "PERIODJET_PRECISION")
+            except ValueError:
+                raise ValueError(
+                    "PERIODJET_PRECISION must be an integer, got %r" % env)
+            source = "PERIODJET_PRECISION"
     if precision > MAX_PRECISION:
         raise PrecisionExhausted(
             "precision %d from %s is above the ceiling MAX_PRECISION = %d"
@@ -532,8 +536,15 @@ def _load_job(args, need_curve):
     curve, file_precision = None, None
     if args.curve is not None:
         with open(args.curve) as fh:
+            text = fh.read()
+        try:
             curve, file_precision = curve_from_json(
-                _parse_json(fh.read(), "curve"))
+                _parse_json(text, "curve"), max_genus=MAX_GENUS)
+        except GenusAboveLimit as e:
+            raise PrecisionExhausted(
+                "a genus-%d curve needs precision at least 4g+4 = %d, above "
+                "the ceiling MAX_PRECISION = %d"
+                % (e.genus, precision_floor(e.genus), MAX_PRECISION))
     elif need_curve:
         raise ValueError("this command needs --curve")
     precision = None
@@ -548,6 +559,15 @@ def _load_job(args, need_curve):
                      out=args.out)
 
 
+def _precision_flag(text):
+    """--precision read as PERIODJET_PRECISION is, by int_from_key; the
+    refusal reads as argparse's own for an int option."""
+    try:
+        return int_from_key(text, "--precision")
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="periodjet",
@@ -558,7 +578,7 @@ def _build_parser():
     def common(p, curve_required):
         p.add_argument("--curve", metavar="FILE", required=curve_required,
                        help="curve JSON file {\"p\": [...], \"precision\"?}")
-        p.add_argument("--precision", type=int, metavar="N")
+        p.add_argument("--precision", type=_precision_flag, metavar="N")
         p.add_argument("--out", metavar="FILE",
                        help="write the JSON report here instead of stdout")
 

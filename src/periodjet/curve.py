@@ -52,6 +52,11 @@ def default_precision(genus):
     return 8 * genus + 24
 
 
+def precision_floor(genus):
+    """The smallest precision an expansion accepts."""
+    return 4 * genus + 4
+
+
 def _poly_trim(c):
     while c and c[-1] == 0:
         c = c[:-1]
@@ -85,10 +90,23 @@ def _poly_gcd(a, b):
     return a
 
 
-class HyperellipticCurve(object):
-    """y^2 = p(x), p monic squarefree of odd degree 2g+1 >= 5."""
+class GenusAboveLimit(Exception):
+    """A curve's genus is above the limit its caller set."""
 
-    def __init__(self, p_coeffs):
+    def __init__(self, genus, max_genus):
+        super().__init__("genus %d is above the limit %d"
+                         % (genus, max_genus))
+        self.genus = genus
+
+
+class HyperellipticCurve(object):
+    """y^2 = p(x), p monic squarefree of odd degree 2g+1 >= 5.
+
+    With max_genus set, a larger genus raises GenusAboveLimit before the
+    squarefree test, whose cost grows with the square of the degree.
+    """
+
+    def __init__(self, p_coeffs, max_genus=None):
         coeffs = [Fraction(c) for c in p_coeffs]
         coeffs = _poly_trim(coeffs)
         deg = len(coeffs) - 1
@@ -98,6 +116,8 @@ class HyperellipticCurve(object):
         if coeffs[-1] != 1:
             raise ValueError("p must be monic, leading coefficient is %s"
                              % coeffs[-1])
+        if max_genus is not None and deg // 2 > max_genus:
+            raise GenusAboveLimit(deg // 2, max_genus)
         g = _poly_gcd(coeffs, _poly_deriv(coeffs))
         if len(g) != 1:
             raise ValueError("p must be squarefree; gcd(p, p') has degree %d"
@@ -131,16 +151,19 @@ class CurveExpansion(object):
     p(x) = y^2 is kept, and the odd fields x^a y v0 are built from it
     (see element_of_pole_Theta).
 
-    Immutable after construction apart from internal caches of
-    reduction-basis elements keyed by pole order. Raises GapCountMismatch
-    if the gaps below the basis cutoffs do not number g and 3g-3.
+    Immutable after construction apart from internal caches, filled on
+    first use: reduction-basis elements keyed by pole order, and for the
+    hodge layer the duality matrix, the orders of the derivatives of the
+    g_j, and the table of monomial-operator matrices rho(z^e D^k) keyed
+    by (k, e). Raises GapCountMismatch if the gaps below the basis
+    cutoffs do not number g and 3g-3.
     """
 
     def __init__(self, curve, precision):
         g = curve.genus
-        if precision < 4 * g + 4:
+        if precision < precision_floor(g):
             raise ValueError("precision %d too small, need at least 4g+4 = %d"
-                             % (precision, 4 * g + 4))
+                             % (precision, precision_floor(g)))
         self.curve = curve
         self.precision = precision
 
@@ -159,6 +182,9 @@ class CurveExpansion(object):
 
         self._o_cache = {}
         self._theta_cache = {}
+        self._duality = None
+        self._derivative_orders = {}
+        self._rho_table = {}
 
         self.h10_basis = holomorphic_integrals(self)
 
@@ -270,10 +296,11 @@ def curve_to_json(curve, precision):
             "precision": precision}
 
 
-def curve_from_json(obj):
+def curve_from_json(obj, max_genus=None):
     """Parse the curve schema; returns (curve, precision or None).
 
-    Coefficients are "p/q" strings (bare integer strings accepted).
+    Coefficients are "p/q" strings (bare integer strings accepted);
+    max_genus is passed on to HyperellipticCurve.
     """
     if not isinstance(obj, dict):
         raise ValueError("curve JSON must be an object")
@@ -288,4 +315,4 @@ def curve_from_json(obj):
     if precision is not None and (not isinstance(precision, int)
                                   or isinstance(precision, bool)):
         raise ValueError("precision must be an integer, got %r" % (precision,))
-    return HyperellipticCurve(coeffs), precision
+    return HyperellipticCurve(coeffs, max_genus), precision

@@ -21,11 +21,17 @@ rho sends an operator alpha to the matrix of
 
     g_j  ->  -[alpha(g_j)]   in H^1(O),
 
-the sign being part of the definition. It forms alpha(g_j) only below
-z^1, the part reduce_O reads. A matrix M represents a symmetric
-map exactly when D*M is symmetric, with D the duality pairing matrix
-D(i,j) = <g_i, z^-n_j>; that criterion is exported for reuse by the
-period layer and the CLI report.
+the sign being part of the definition. It is linear in the coefficients
+of alpha = sum a_(k,e) z^e D^k, so it is read off a per-curve table of
+the monomial operators' matrices rho(z^e D^k), each formed once, by
+reducing z^e g_j^(k) below z^1, the part reduce_O reads. Where the
+orders and truncations of alpha say a column might be unknown at z^0 or
+reach a pole beyond the basis window, rho reduces alpha(g_j) itself, so
+the matrix, and any exception, is the one the full alpha(g_j) gives.
+
+A matrix M represents a symmetric map exactly when D*M is symmetric,
+with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>; that
+criterion is exported for reuse by the period layer and the CLI report.
 """
 
 from fractions import Fraction
@@ -34,7 +40,7 @@ from .laurent import (
     LaurentSeries, PrecisionExhausted, rational_from_str, rational_to_str,
     symplectic_pair)
 from .linalg import det
-from .witt import diffop_apply
+from .witt import DiffOp, diffop_apply
 
 
 class UnreducibleExponent(Exception):
@@ -52,6 +58,15 @@ class GapClass(object):
                              % (len(gaps), len(coords)))
         self.coords = coords
         self.gaps = list(gaps)
+
+    @classmethod
+    def _trusted(cls, coords, gaps):
+        """A class from fresh lists, one Fraction per gap, not checked
+        again."""
+        c = object.__new__(cls)
+        c.coords = coords
+        c.gaps = gaps
+        return c
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
@@ -79,9 +94,19 @@ class HomMatrix(object):
         self.basis_gaps = gaps
 
     @classmethod
+    def _trusted(cls, entries, basis_gaps):
+        """A matrix from fresh lists, square rows of Fractions, not
+        checked again."""
+        m = object.__new__(cls)
+        m.entries = entries
+        m.basis_gaps = basis_gaps
+        return m
+
+    @classmethod
     def from_columns(cls, columns, basis_gaps):
-        """The matrix whose column j is columns[j]."""
-        return cls([list(row) for row in zip(*columns)], basis_gaps)
+        """The matrix whose column j is columns[j], a list of Fractions."""
+        return cls._trusted([list(row) for row in zip(*columns)],
+                            list(basis_gaps))
 
     def is_zero(self):
         return all(x == 0 for r in self.entries for x in r)
@@ -97,9 +122,10 @@ class HomMatrix(object):
             return NotImplemented
         if self.basis_gaps != other.basis_gaps:
             raise ValueError("basis mismatch")
-        return HomMatrix([[a + b for a, b in zip(ra, rb)]
-                          for ra, rb in zip(self.entries, other.entries)],
-                         self.basis_gaps)
+        return HomMatrix._trusted(
+            [[a + b for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.entries, other.entries)],
+            list(self.basis_gaps))
 
     def __sub__(self, other):
         if not isinstance(other, HomMatrix):
@@ -108,8 +134,13 @@ class HomMatrix(object):
 
     def scaled(self, c):
         c = Fraction(c)
-        return HomMatrix([[c * x for x in r] for r in self.entries],
-                         self.basis_gaps)
+        if c == 1:
+            rows = [list(r) for r in self.entries]
+        elif c == -1:  # a negation skips the gcd work of a product
+            rows = [[-x for x in r] for r in self.entries]
+        else:
+            rows = [[c * x for x in r] for r in self.entries]
+        return HomMatrix._trusted(rows, list(self.basis_gaps))
 
     def __repr__(self):
         return "HomMatrix(%r, basis_gaps=%r)" % (self.entries,
@@ -160,7 +191,8 @@ def reduce_O(h, exp):
     """Class of h in H^1(O) = H/(H+ + K0); needs trunc(h) >= 1."""
     coords = _sweep(h, exp.gaps_O, exp.element_of_pole_O,
                     exp.precision - 2, 1, "H^1(O)")
-    return GapClass([coords[n] for n in exp.gaps_O], exp.gaps_O)
+    return GapClass._trusted([coords[n] for n in exp.gaps_O],
+                             list(exp.gaps_O))
 
 
 def reduce_Theta(zeta, exp):
@@ -170,7 +202,8 @@ def reduce_Theta(zeta, exp):
         return None if elem is None else elem.f
     coords = _sweep(zeta.f, exp.gaps_Theta, coefficient_at,
                     exp.precision - 2, 0, "H^1(Theta)")
-    return GapClass([coords[n] for n in exp.gaps_Theta], exp.gaps_Theta)
+    return GapClass._trusted([coords[n] for n in exp.gaps_Theta],
+                             list(exp.gaps_Theta))
 
 
 def duality_matrix(exp):
@@ -180,26 +213,106 @@ def duality_matrix(exp):
             for gi in exp.h10_basis]
 
 
+def _duality(exp):
+    """duality_matrix(exp), built once per expansion."""
+    if exp._duality is None:
+        exp._duality = duality_matrix(exp)
+    return exp._duality
+
+
 def duality_det(exp):
-    return det(duality_matrix(exp))
+    return det(_duality(exp))
+
+
+def _columns(op, exp):
+    """rho's columns, reducing each op(g_j) formed below z^1."""
+    return [[-c for c in reduce_O(diffop_apply(op, gj, below=1), exp).coords]
+            for gj in exp.h10_basis]
+
+
+def _derivative_orders(exp, k):
+    """The smallest min_rule_order and the smallest trunc over the g_j^(k),
+    read off the g_j: k derivatives kill exactly the exponents 0 <= e < k.
+    """
+    orders = exp._derivative_orders.get(k)
+    if orders is None:
+        orders = exp._derivative_orders[k] = (
+            min(min((e for e in gj.coeffs if not 0 <= e < k),
+                    default=gj.trunc) for gj in exp.h10_basis) - k,
+            min(gj.trunc for gj in exp.h10_basis) - k)
+    return orders
+
+
+def _integral(x):
+    """x as an int when it is one: int products and sums skip the gcd
+    work of Fraction arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _table_entry(exp, k, e):
+    """rho(z^e D^k) as its nonzero (row-major position, entry) pairs,
+    formed once per expansion."""
+    entry = exp._rho_table.get((k, e))
+    if entry is None:
+        cols = _columns(DiffOp({k: LaurentSeries.monomial(e)}), exp)
+        g = len(cols)
+        entry = exp._rho_table[k, e] = tuple(
+            (i * g + j, _integral(x)) for j, col in enumerate(cols)
+            for i, x in enumerate(col) if x)
+    return entry
+
+
+def _table_rho(op, exp):
+    """rho(op) as sum a_(k,e) rho(z^e D^k), or None when a column might
+    not reduce.
+
+    Column j of the per-column path is known below the smallest of 1,
+    trunc a_k + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no
+    pole deeper than -min_k(ord a_k + ord g_j^(k)). When every such
+    truncation is 1 and every such pole order is within the basis window
+    precision - 2 (checked with the smallest order and truncation over
+    the g_j^(k)), reduce_O is linear on the columns and on every table
+    entry they need, and none of them raises. A term whose products have
+    no pole adds nothing to a class and is skipped.
+    """
+    window = exp.precision - 2
+    terms = []
+    for k, a in op.terms.items():
+        o, t = _derivative_orders(exp, k)
+        lowest = a.order()
+        if a.trunc + o < 1 or t + (a.trunc if lowest is None else lowest) < 1:
+            return None
+        if lowest is not None and lowest + o < -window:
+            return None
+        terms.extend((k, e, c) for e, c in a.coeffs.items() if e + o < 0)
+    g = len(exp.gaps_O)
+    acc = [0] * (g * g)
+    for k, e, c in terms:
+        c = _integral(c)
+        for p, x in _table_entry(exp, k, e):
+            acc[p] += c * x
+    acc = [Fraction(x) for x in acc]
+    return HomMatrix._trusted([acc[i * g:(i + 1) * g] for i in range(g)],
+                              list(exp.gaps_O))
 
 
 def rho(op, exp):
     """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O).
 
-    op(g_j) is formed only below z^1: reduce_O reads nothing above, so
-    the matrix, and any exception, is the one the full op(g_j) gives.
+    A sum over the expansion's table of monomial-operator matrices where
+    that is exact (see _table_rho), otherwise op(g_j) reduced column by
+    column: the matrix, and any exception, is the one the full op(g_j)
+    gives.
     """
-    cols = []
-    for gj in exp.h10_basis:
-        cls = reduce_O(diffop_apply(op, gj, below=1), exp)
-        cols.append([-c for c in cls.coords])
-    return HomMatrix.from_columns(cols, exp.gaps_O)
+    m = _table_rho(op, exp)
+    if m is None:
+        m = HomMatrix.from_columns(_columns(op, exp), exp.gaps_O)
+    return m
 
 
 def is_symmetric_hom(hom, exp):
     """Symmetry criterion: D * M symmetric <=> M is in Hom^(s)."""
-    d = duality_matrix(exp)
+    d = _duality(exp)
     m = hom.entries
     n = len(d)
     b = [[sum(d[i][k] * m[k][j] for k in range(n)) for j in range(n)]

@@ -190,15 +190,13 @@ def sp_witness(op, radius):
     0 < |a|, |b| <= radius. Raises PrecisionExhausted if a required
     residue is hidden by truncation.
     """
-    exponents = [e for e in range(-radius, radius + 1) if e != 0]
-    images = {a: diffop_apply(op, LaurentSeries.monomial(a))
-              for a in exponents}
-    for a in exponents:
-        for b in exponents:
+    monomials = {e: LaurentSeries.monomial(e)
+                 for e in range(-radius, radius + 1) if e != 0}
+    images = {a: diffop_apply(op, za) for a, za in monomials.items()}
+    for a, za in monomials.items():
+        for b, zb in monomials.items():
             if b < a:
                 continue  # the identity is symmetric in (a, b)
-            zb = LaurentSeries.monomial(b)
-            za = LaurentSeries.monomial(a)
             if symplectic_pair(images[a], zb) != symplectic_pair(images[b], za):
                 return False
     return True

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from periodjet.cli import (
-    EXPECTED_REGRESSIONS, MAX_PRECISION, _resolve_precision, main,
+    EXPECTED_REGRESSIONS, MAX_GENUS, MAX_PRECISION, _resolve_precision, main,
     poly_label, run_checks)
 from periodjet.curve import HyperellipticCurve, expand_curve
+from periodjet.laurent import PrecisionExhausted
 
 E5_JSON = {"p": ["1", "0", "0", "0", "0", "1"]}
 E7_JSON = {"p": ["1", "-1", "0", "0", "0", "0", "0", "1"]}
@@ -336,6 +337,21 @@ def test_precision_env_must_be_canonical(tmp_path, capsys, monkeypatch,
     assert out == "" and "PERIODJET_PRECISION must be an integer" in err
 
 
+@pytest.mark.parametrize("text", [" 40 ", "4_0", "+40", "\u0664\u0660"])
+def test_precision_flag_must_be_canonical(tmp_path, capsys, text):
+    # int() reads each of these as 40; the flag takes what the env var takes
+    with pytest.raises(SystemExit) as exit_info:
+        main(["info", "--curve", write_curve(tmp_path), "--precision", text])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument --precision: invalid int value: %r\n"
+                        % text)
+    _, out = run(capsys, ["info", "--curve", write_curve(tmp_path),
+                          "--precision", "40"])
+    assert json.loads(out)["curve"]["precision"] == 40
+
+
 @pytest.mark.parametrize("source", ["--precision", "the curve file",
                                     "PERIODJET_PRECISION"])
 def test_precision_ceiling(tmp_path, capsys, monkeypatch, source):
@@ -360,6 +376,40 @@ def test_precision_ceiling(tmp_path, capsys, monkeypatch, source):
     file_value = MAX_PRECISION if source == "the curve file" else None
     monkeypatch.setenv("PERIODJET_PRECISION", str(MAX_PRECISION))
     assert _resolve_precision(flag, file_value, 2) == MAX_PRECISION
+
+
+def test_precision_ceiling_covers_the_default(tmp_path, capsys):
+    # genus 126 is the first whose default 8g + 24 = 1032 is above it
+    with pytest.raises(PrecisionExhausted, match="from the default 8g"):
+        _resolve_precision(None, None, 126)
+    assert _resolve_precision(None, None, 125) == 1024
+    big = write_curve(tmp_path, {"p": ["1"] + ["0"] * 252 + ["1"]},
+                      name="g126.json")
+    assert main(["info", "--curve", big]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "periodjet: PrecisionExhausted: precision 1032 from the default "
+        "8g + 24 is above the ceiling MAX_PRECISION = %d\n" % MAX_PRECISION)
+
+
+def test_curve_above_the_ceiling_is_refused_before_the_squarefree_test(
+        tmp_path, capsys):
+    # x^513 is not squarefree: a test on it would exit 2 after O(deg^2)
+    # work; the genus 256 > MAX_GENUS is refused first
+    assert MAX_GENUS == 255
+    big = write_curve(tmp_path, {"p": ["0"] * 513 + ["1"]}, name="g256.json")
+    for argv in (["info", "--curve", big, "--precision", "40"],
+                 ["check", "--curve", big]):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "periodjet: PrecisionExhausted: a genus-256 curve needs precision "
+            "at least 4g+4 = 1028, above the ceiling MAX_PRECISION = %d\n"
+            % MAX_PRECISION)
+    at_limit = write_curve(tmp_path, {"p": ["0"] * 511 + ["1"]},
+                           name="g255.json")
+    assert main(["info", "--curve", at_limit]) == 2  # reaches that test
+    assert "squarefree" in capsys.readouterr().err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

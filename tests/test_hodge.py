@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from periodjet import hodge
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
 from periodjet.hodge import (
     GapClass, HomMatrix, UnreducibleExponent, duality_det,
@@ -201,3 +202,44 @@ def test_hom_matrix_arithmetic():
                                                 [Fraction(3, 2), 2]]
     with pytest.raises(ValueError):
         a + HomMatrix([[0]], [2])
+
+
+def test_internal_results_meet_the_constructor_invariant():
+    # classes and matrices the library builds skip validation; they must
+    # hold fresh lists of Fractions, as the public constructors would
+    rng = random.Random(61)
+    a = HomMatrix([[1, 2], [3, 4]], [1, 3])
+    matrices = [a + a, a - a, a.scaled(1), a.scaled(-1), a.scaled(0),
+                a.scaled(Fraction(2, 3))]
+    classes = []
+    for e in (E5, E7):
+        matrices.append(rho(DiffOp.zero(), e))
+        for _ in range(4):
+            tail = random_tail(rng, -6, nterms=3)
+            matrices.append(rho(phi(WittElement(tail)), e))
+            classes += [reduce_O(tail, e), reduce_Theta(WittElement(tail), e)]
+        for m in matrices[-5:]:
+            assert m.basis_gaps == e.gaps_O and m.basis_gaps is not e.gaps_O
+    for m in matrices:
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert m == HomMatrix(m.entries, m.basis_gaps)
+    for m in matrices[:4]:
+        assert all(r is not s for r, s in zip(m.entries, a.entries))
+        assert m.basis_gaps is not a.basis_gaps
+    for c in classes:
+        assert all(type(x) is Fraction for x in c.coords)
+        assert c == GapClass(c.coords, c.gaps)
+    assert classes[0].gaps is not E5.gaps_O
+
+
+def test_duality_matrix_is_built_once_per_expansion(monkeypatch):
+    built = []
+    build = hodge.duality_matrix
+    monkeypatch.setattr(hodge, "duality_matrix",
+                        lambda exp: built.append(exp) or build(exp))
+    exp = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]), 30)
+    m = rho(phi(WittElement.monomial(-1)), exp)
+    for _ in range(3):
+        assert is_symmetric_hom(m, exp)
+        assert duality_det(exp) == -4
+    assert built == [exp]

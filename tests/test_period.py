@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
 from periodjet.hodge import (
-    HomMatrix, UnreducibleExponent, is_symmetric_hom, rho)
+    HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom, rho)
 from periodjet.laurent import INF, LaurentSeries, PrecisionExhausted, derive
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
@@ -243,6 +243,69 @@ def test_rho_matches_full_length_reference(exp, data):
                                     max_size=len(fields), unique=True))
         op = DiffOp({k: zeta.f for k, zeta in zip(orders, fields)})
     assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
+
+
+def derivative_bounds(exp, k):
+    """The smallest order and the smallest truncation over the g_j^(k)."""
+    derived = []
+    for g in exp.h10_basis:
+        for _ in range(k):
+            g = derive(g)
+        derived.append(g)
+    return (min(g.min_rule_order() for g in derived),
+            min(g.trunc for g in derived))
+
+
+def table_edge_cases(exp):
+    """(operator, whether rho must take the per-column path) at the edges
+    of the table path: a coefficient truncated at the threshold, a pole at
+    the edge of the basis window, and two orders whose deepest poles
+    cancel in one column. A column is known below the smaller of
+    trunc a + ord g^(k) and trunc g^(k) + ord a."""
+    edge = exp.precision - 2
+    cases = []
+    for k in (1, 2, 3):
+        o, t = derivative_bounds(exp, k)
+        for trunc in (-o - 1, -o, 1 - o, 2 - o):
+            cases.append((DiffOp({k: LaurentSeries({-1: 1, 0: 2, 2: -3},
+                                                   trunc)}),
+                          trunc + o < 1))
+            cases.append((DiffOp({k: LaurentSeries.zero(trunc)}),
+                          trunc + o < 1))
+        for e in range(-edge - o - 2, -edge - o + 2):  # pole order -(e + o)
+            cases.append((DiffOp({k: LaurentSeries({e: 1, -1: 1})}),
+                          e + o < -edge or t + e < 1))
+    for g in exp.h10_basis:
+        r = g.order()  # z^(e+1) D^2 - (r-1) z^e D kills the z^(e+r-1) term
+        for e in range(-edge - r - 1, -edge + 2):
+            op = DiffOp({2: LaurentSeries.monomial(e + 1),
+                         1: LaurentSeries.monomial(e, 1 - r)})
+            cases.append((op, None))
+    return cases
+
+
+@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+def test_rho_table_edges_match_full_length_reference(exp):
+    fallbacks = 0
+    for op, must_fall_back in table_edge_cases(exp):
+        if must_fall_back is not None:
+            assert (_table_rho(op, exp) is None) == must_fall_back
+            fallbacks += must_fall_back
+        assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
+    assert fallbacks >= 12
+
+
+def test_rho_tables_are_per_expansion():
+    curves = ([1, 0, 0, 0, 0, 1], [2, 0, 1, 0, 0, 1])  # both genus 2
+    a, b = (expand_curve(HyperellipticCurve(c), 30) for c in curves)
+    op = diffop_compose(phi(mono(-3)), phi(mono(-1, 2) + mono(-5)))
+    first = rho(op, a)
+    assert first == full_rho(op, a)
+    assert rho(op, b) == full_rho(op, b) != first
+    assert rho(op, a) == first
+    assert a._rho_table is not b._rho_table
+    assert a._rho_table.keys() == b._rho_table.keys()
+    assert any(a._rho_table[key] != b._rho_table[key] for key in a._rho_table)
 
 
 @pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
