@@ -20,7 +20,8 @@ is a precision error, and so is a curve whose precision floor 4g+4 is
 above it.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 precision
-error, 4 unsupported order.
+error, 4 unsupported order, 5 internal error (an uncaught exception,
+reported on one line without a traceback).
 """
 
 import argparse
@@ -52,6 +53,7 @@ EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 EXIT_ORDER = 4
+EXIT_INTERNAL = 5
 
 # The command line refuses a working precision above this: the cost grows
 # steeply with it (info on a dense genus-3 curve took 1.8 s at 1024, 9 s at
@@ -559,11 +561,12 @@ def _load_job(args, need_curve):
                      out=args.out)
 
 
-def _precision_flag(text):
-    """--precision read as PERIODJET_PRECISION is, by int_from_key; the
-    refusal reads as argparse's own for an int option."""
+def _int_flag(text):
+    """An int option (--precision, --n, --k) read as PERIODJET_PRECISION
+    is, by int_from_key; the refusal reads as argparse's own for an int
+    option."""
     try:
-        return int_from_key(text, "--precision")
+        return int_from_key(text, "an int option")
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % (text,))
 
@@ -578,7 +581,7 @@ def _build_parser():
     def common(p, curve_required):
         p.add_argument("--curve", metavar="FILE", required=curve_required,
                        help="curve JSON file {\"p\": [...], \"precision\"?}")
-        p.add_argument("--precision", type=_precision_flag, metavar="N")
+        p.add_argument("--precision", type=_int_flag, metavar="N")
         p.add_argument("--out", metavar="FILE",
                        help="write the JSON report here instead of stdout")
 
@@ -593,9 +596,9 @@ def _build_parser():
     p_compute.add_argument("--fields", metavar="JSON",
                            help="series JSON, a list of them, or for nu2 a "
                                 "second-order representative object")
-    p_compute.add_argument("--n", type=int, metavar="N",
+    p_compute.add_argument("--n", type=_int_flag, metavar="N",
                            help="consistency check: number of fields (elln)")
-    p_compute.add_argument("--k", type=int, metavar="K",
+    p_compute.add_argument("--k", type=_int_flag, metavar="K",
                            help="block count for elln (default 1)")
 
     p_check = sub.add_parser("check", help="run the invariant suite")
@@ -604,8 +607,17 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as e:  # a fault of the program, not of its input
+        print("periodjet: internal error: %s: %s"
+              % (type(e).__name__, " ".join(str(e).splitlines())),
+              file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(args):
     try:
         if args.subcommand == "info":
             config = _load_job(args, need_curve=True)

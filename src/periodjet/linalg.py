@@ -11,22 +11,25 @@ def _copy(rows):
     return [[Fraction(x) for x in r] for r in rows]
 
 
-def row_echelon(rows):
-    """Return (echelon, rank); echelon rows have strictly increasing pivots."""
+def _eliminate(rows):
+    """Gauss-Jordan elimination on a copy of rows. Returns the reduced
+    rows, the rank, and the product of the pivots as found, negated once
+    per row swap: the first rank rows have unit pivots in strictly
+    increasing columns."""
     m = _copy(rows)
-    if not m:
-        return [], 0
-    ncols = len(m[0])
     rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
+    pivots = Fraction(1)
+    for col in range(len(m[0]) if m else 0):
+        if rank == len(m):
+            break
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0),
+                     None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            pivots = -pivots
+        pivots *= m[rank][col]
         inv = 1 / m[rank][col]
         m[rank] = [x * inv for x in m[rank]]
         for r in range(len(m)):
@@ -34,37 +37,23 @@ def row_echelon(rows):
                 c = m[r][col]
                 m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
         rank += 1
-        if rank == len(m):
-            break
+    return m, rank, pivots
+
+
+def row_echelon(rows):
+    """Return (echelon, rank); echelon rows have strictly increasing pivots."""
+    m, rank, _ = _eliminate(rows)
     return m[:rank], rank
 
 
 def det(rows):
-    """Exact determinant of a square matrix."""
-    m = _copy(rows)
-    n = len(m)
-    if any(len(r) != n for r in m):
+    """Exact determinant of a square matrix: the signed product of the
+    pivots of the elimination, 0 below full rank."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                c = m[r][col] * inv
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return sign * result
+    _, rank, pivots = _eliminate(rows)
+    return pivots if rank == n else Fraction(0)
 
 
 def in_row_span(rows, vec):

@@ -20,6 +20,12 @@ module implements each once:
                         sign (-1)^n, then reduce. The cross-check oracle;
                         ell2_via_lie is its case n = 2.
 
+The contraction route runs on a weighted sum of field words
+(c, [f1, ..., fn]), reducing sum c [fn -| L_f(n-1) ... L_f1 omega_j] once
+per column; ell1_n_contraction is the single word (-1)^n [f1, ..., fn].
+nu2 is the contraction route on its representative's words (T2Rep.words):
+upsilon alone, and each symmetric pair in both orders with weight 1/2.
+
 The two agree identically (L_zeta d(u) = d(phi(zeta) u)), which is the
 cross-check the acceptance suite pins. All remaining global signs are +1;
 they are fixed by three internal consistency requirements: the two routes
@@ -31,16 +37,17 @@ on the upsilon term of nu2 is forced to + by the last requirement.
 from fractions import Fraction
 
 from .hodge import HomMatrix, hom_to_json, reduce_O, rho
-from .laurent import derive, product_below
+from .laurent import LaurentSeries, derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
 from .witt import WittElement, diffop_compose, phi, witt_bracket
 
+# the highest differential order the order-n entry points take
 DEFAULT_MAX_ORDER = 4
 
 
 class UnsupportedOrder(Exception):
-    """More fields than the configured maximum differential order."""
+    """More fields than the maximum differential order."""
 
 
 def _series_key(s):
@@ -79,6 +86,17 @@ class T2Rep(object):
                                                   _series_key(p[1].f))) == \
             sorted(other.sym_pairs, key=lambda p: (_series_key(p[0].f),
                                                    _series_key(p[1].f)))
+
+    def words(self):
+        """The field words (c, [f1, ..., fn]) whose operators
+        c phi(fn) o ... o phi(f1) sum to the representative's operator
+        phi(upsilon) + (1/2) sum_i (phi(xi_i) o phi(zeta_i)
+        + phi(zeta_i) o phi(xi_i))."""
+        half = Fraction(1, 2)
+        words = [(1, [self.upsilon])]
+        for zeta, xi in self.sym_pairs:
+            words += [(half, [zeta, xi]), (half, [xi, zeta])]
+        return words
 
     def __repr__(self):
         return "T2Rep(%r, %r)" % (self.upsilon, self.sym_pairs)
@@ -131,7 +149,14 @@ class SymProductSum(object):
 
 
 def lie_on_form(zeta, h):
-    """Coefficient of L_zeta (h dz) = (f h' + f' h) dz."""
+    """Coefficient of L_zeta (h dz) = (f h' + f' h) dz.
+
+    By the min-rule, derive(f * h) has the same coefficients and
+    truncation (Cartan: L_zeta omega = d(zeta -| omega)) at the cost of
+    one product, not two. The two-product form stays until perfbench's
+    peak_rss_mb stops growing with throughput (ROADMAP item 3): the
+    faster dense jobs would push it past its bound.
+    """
     return zeta.f * derive(h) + derive(zeta.f) * h
 
 
@@ -199,9 +224,8 @@ def canonical_second_rep(zeta, xi):
 
 
 def nu2(rep, exp):
-    """Second differential on second-order tangent representatives.
-
-    Column j reduces
+    """Second differential on second-order tangent representatives: the
+    contraction route on the representative's words, so column j reduces
 
         sum_i (1/2)(xi_i -| L_zeta_i + zeta_i -| L_xi_i)(omega_j)
         + upsilon -| omega_j.
@@ -209,60 +233,63 @@ def nu2(rep, exp):
     The + on the upsilon coupling makes nu2(canonical_second_rep(z, x))
     equal ell2(z, x) identically; with a - it would differ by twice the
     upsilon term.
-
-    The three contractions go straight into reduce_O, so they are formed
-    only below z^1; the Lie derivatives L_zeta h stay full-length.
     """
-    cols = []
-    for gj in exp.h10_basis:
-        h = derive(gj)
-        total = product_below(rep.upsilon.f, h, 1)
-        for zeta, xi in rep.sym_pairs:
-            s = product_below(xi.f, lie_on_form(zeta, h), 1) + \
-                product_below(zeta.f, lie_on_form(xi, h), 1)
-            total = total + s.scaled(Fraction(1, 2))
-        cols.append(reduce_O(total, exp).coords)
-    return HomMatrix.from_columns(cols, exp.gaps_O)
+    return _contraction(rep.words(), exp)
 
 
-def _check_order(n, max_order):
-    if n > max_order:
+def _order(fields):
+    """The order n = len(fields), guarded as every order-n entry point
+    guards it: 1 <= n <= DEFAULT_MAX_ORDER."""
+    n = len(fields)
+    if n < 1:
+        raise ValueError("need at least one field")
+    if n > DEFAULT_MAX_ORDER:
         raise UnsupportedOrder(
             "%d fields exceed the configured maximum order %d"
-            % (n, max_order))
+            % (n, DEFAULT_MAX_ORDER))
+    return n
 
 
-def ell1_n(fields, exp, max_order=DEFAULT_MAX_ORDER):
+def ell1_n(fields, exp):
     """Order-n linear differential, operator route:
 
         (-1)^(n-1) rho( phi(zeta_n) o ... o phi(zeta_1) ).
     """
-    n = len(fields)
-    if n < 1:
-        raise ValueError("need at least one field")
-    _check_order(n, max_order)
+    n = _order(fields)
     op = phi(fields[0])
     for zeta in fields[1:]:
         op = diffop_compose(phi(zeta), op)
     return rho(op, exp).scaled((-1) ** (n - 1))
 
 
-def ell1_n_contraction(fields, exp, max_order=DEFAULT_MAX_ORDER):
+def _contraction(words, exp):
+    """The contraction route on a sum of field words (c, [f1, ..., fn]):
+    column j reduces
+
+        sum_w c [ fn -| L_f(n-1) ... L_f1 omega_j ]
+
+    once. Each contraction goes straight into reduce_O, so it is formed
+    only below z^1; the Lie derivatives stay full-length.
+    """
+    cols = []
+    for gj in exp.h10_basis:
+        h = derive(gj)
+        total = LaurentSeries.zero()
+        for c, fields in words:
+            form = h
+            for zeta in fields[:-1]:
+                form = lie_on_form(zeta, form)
+            total = total + product_below(fields[-1].f, form, 1).scaled(c)
+        cols.append(reduce_O(total, exp).coords)
+    return HomMatrix.from_columns(cols, exp.gaps_O)
+
+
+def ell1_n_contraction(fields, exp):
     """The same map by iterated Lie derivatives:
 
         column j = (-1)^n [ zeta_n -| L_zeta_{n-1} ... L_zeta_1 omega_j ].
     """
-    n = len(fields)
-    if n < 1:
-        raise ValueError("need at least one field")
-    _check_order(n, max_order)
-    cols = []
-    for gj in exp.h10_basis:
-        h = derive(gj)
-        for zeta in fields[:-1]:
-            h = lie_on_form(zeta, h)
-        cols.append(reduce_O(fields[-1].f * h, exp).coords)
-    return HomMatrix.from_columns(cols, exp.gaps_O).scaled((-1) ** n)
+    return _contraction([((-1) ** _order(fields), fields)], exp)
 
 
 def _set_partitions(indices, k):
@@ -289,7 +316,7 @@ def _set_partitions(indices, k):
         yield from place(0, [])
 
 
-def ell_k_n(fields, k, exp, max_order=DEFAULT_MAX_ORDER):
+def ell_k_n(fields, k, exp):
     """Order-(k, n) differential under the set-partition reading: sum over
     partitions of the n field slots into k blocks, each block contributing
     ell1 on its fields in their original order, the k block matrices
@@ -303,12 +330,12 @@ def ell_k_n(fields, k, exp, max_order=DEFAULT_MAX_ORDER):
     n = len(fields)
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n, got k=%d, n=%d" % (k, n))
-    _check_order(n, max_order)
+    _order(fields)
     if k == 1:
-        return ell1_n(fields, exp, max_order)
+        return ell1_n(fields, exp)
     terms = []
     for blocks in _set_partitions(list(range(n)), k):
-        factors = [ell1_n([fields[i] for i in block], exp, max_order)
+        factors = [ell1_n([fields[i] for i in block], exp)
                    for block in blocks]
         terms.append(tuple(factors))
     flag = "set-partition" if k < n else None

@@ -64,6 +64,18 @@ def full_rho(op, exp):
                      for gj in exp.h10_basis], exp.gaps_O)
 
 
+def full_contraction(fields, exp):
+    """ell1_n_contraction with its last contraction formed to the full
+    precision."""
+    cols = []
+    for gj in exp.h10_basis:
+        h = derive(gj)
+        for zeta in fields[:-1]:
+            h = lie_on_form(zeta, h)
+        cols.append(reduce_O(fields[-1].f * h, exp).coords)
+    return _columns(cols, exp.gaps_O).scaled((-1) ** len(fields))
+
+
 def full_nu2(rep, exp):
     """nu2 reducing its three contractions formed to the full precision."""
     cols = []

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import periodjet.cli
 from periodjet.cli import (
     EXPECTED_REGRESSIONS, MAX_GENUS, MAX_PRECISION, _resolve_precision, main,
     poly_label, run_checks)
@@ -350,6 +351,34 @@ def test_precision_flag_must_be_canonical(tmp_path, capsys, text):
     _, out = run(capsys, ["info", "--curve", write_curve(tmp_path),
                           "--precision", "40"])
     assert json.loads(out)["curve"]["precision"] == 40
+
+
+@pytest.mark.parametrize("flag", ["--n", "--k"])
+@pytest.mark.parametrize("text", [" +2 ", "+2", "0_2", "\u0662"])
+def test_order_flags_must_be_canonical(tmp_path, capsys, flag, text):
+    # int() reads each of these as 2
+    argv = ["compute", "elln", "--curve", write_curve(tmp_path),
+            "--fields", PAIR]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, text])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("argument %s: invalid int value: %r\n"
+                        % (flag, text))
+    code, out = run(capsys, argv + [flag, "2"])
+    assert code == 0 and "result" in json.loads(out)
+
+
+def test_uncaught_exception_exits_5_on_one_line(tmp_path, capsys,
+                                               monkeypatch):
+    def fault(*args):
+        raise ZeroDivisionError("injected\nfault")
+    monkeypatch.setattr(periodjet.cli, "nu1", fault)
+    assert main(["compute", "nu1", "--curve", write_curve(tmp_path),
+                 "--fields", FIELD]) == 5
+    assert capsys.readouterr() == (
+        "", "periodjet: internal error: ZeroDivisionError: injected fault\n")
 
 
 @pytest.mark.parametrize("source", ["--precision", "the curve file",

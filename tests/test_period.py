@@ -17,7 +17,7 @@ from periodjet.period import (
 from periodjet.witt import (
     DiffOp, WittElement, diffop_compose, phi, witt_bracket)
 
-from series_reference import full_nu2, full_rho
+from series_reference import full_contraction, full_nu2, full_rho
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -318,6 +318,46 @@ def test_nu2_matches_full_length_reference(exp, data):
     assert outcome(nu2, rep, exp) == outcome(full_nu2, rep, exp)
 
 
+def minus_rho_of_rep(rep, exp):
+    """-rho of phi(upsilon) + (1/2) sum (phi(xi) o phi(zeta)
+    + phi(zeta) o phi(xi)), the operator of the representative."""
+    op = phi(rep.upsilon)
+    for zeta, xi in rep.sym_pairs:
+        op = op + (diffop_compose(phi(xi), phi(zeta)) +
+                   diffop_compose(phi(zeta), phi(xi))).scaled(Fraction(1, 2))
+    return rho(op, exp).scaled(-1)
+
+
+@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_nu2_is_minus_rho_of_its_operator(exp, data):
+    # the operator route on the same words gives the same matrix, or the
+    # same refusal
+    field = field_near_threshold(exp)
+    rep = T2Rep(data.draw(field),
+                data.draw(st.lists(st.tuples(field, field), max_size=2)))
+    assert outcome(nu2, rep, exp) == outcome(minus_rho_of_rep, rep, exp)
+
+
+@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_contraction_matches_full_length_reference(exp, data):
+    # the Lie derivatives are full-length; exact low-pole fields among them
+    # keep some order-3 words reducible
+    exact = st.builds(
+        lambda es, cs: WittElement(LaurentSeries(dict(zip(es, cs)))),
+        st.lists(st.integers(-3, 6), min_size=1, max_size=3),
+        st.lists(st.fractions(-4, 4, max_denominator=5).filter(bool),
+                 min_size=3, max_size=3))
+    fields = data.draw(st.lists(exact | field_near_threshold(exp),
+                                max_size=2))
+    fields.append(data.draw(field_near_threshold(exp)))
+    assert outcome(ell1_n_contraction, fields, exp) == \
+        outcome(full_contraction, fields, exp)
+
+
 # --- higher orders ----------------------------------------------------------
 
 def test_ell1_n_specializations():
@@ -335,9 +375,11 @@ def test_ell1_n_routes_agree_at_higher_order():
     for exp in (E5, E7):
         for _ in range(4):
             fields = [random_field(rng, max_terms=2) for _ in range(3)]
-            assert ell1_n(fields, exp) == ell1_n_contraction(fields, exp)
+            assert ell1_n(fields, exp) == ell1_n_contraction(fields, exp) \
+                == full_contraction(fields, exp)
     fields = [mono(-1), mono(2), mono(-3), mono(1)]
-    assert ell1_n(fields, E5) == ell1_n_contraction(fields, E5)
+    assert ell1_n(fields, E5) == ell1_n_contraction(fields, E5) \
+        == full_contraction(fields, E5)
 
 
 def test_ell1_n_multilinear():
@@ -356,8 +398,6 @@ def test_order_guard():
     with pytest.raises(UnsupportedOrder):
         ell_k_n(fields, 2, E5)
     assert DEFAULT_MAX_ORDER == 4
-    assert ell1_n(fields, E5, max_order=5) == \
-        ell1_n_contraction(fields, E5, max_order=5)
     with pytest.raises(ValueError):
         ell1_n([], E5)
 
