@@ -24,10 +24,11 @@ rho sends an operator alpha to the matrix of
 the sign being part of the definition. It is linear in the coefficients
 of alpha = sum a_(k,e) z^e D^k, so it is read off a per-curve table of
 the monomial operators' matrices rho(z^e D^k), each formed once, by
-reducing z^e g_j^(k) below z^1, the part reduce_O reads. Where the
-orders and truncations of alpha say a column might be unknown at z^0 or
-reach a pole beyond the basis window, rho reduces alpha(g_j) itself, so
-the matrix, and any exception, is the one the full alpha(g_j) gives.
+reducing z^e g_j^(k) below z^1, the part reduce_O reads, and kept as
+integer numerators over one denominator. Where the orders and
+truncations of alpha say a column might be unknown at z^0 or reach a
+pole beyond the basis window, rho reduces alpha(g_j) itself, so the
+matrix, and any exception, is the one the full alpha(g_j) gives.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
 with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>; that
@@ -35,6 +36,7 @@ criterion is exported for reuse by the period layer and the CLI report.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .laurent import (
     LaurentSeries, PrecisionExhausted, rational_from_str, rational_to_str,
@@ -243,22 +245,19 @@ def _derivative_orders(exp, k):
     return orders
 
 
-def _integral(x):
-    """x as an int when it is one: int products and sums skip the gcd
-    work of Fraction arithmetic."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def _table_entry(exp, k, e):
-    """rho(z^e D^k) as its nonzero (row-major position, entry) pairs,
-    formed once per expansion."""
+    """rho(z^e D^k) as (d, pairs): its nonzero entries are n/d for the
+    (row-major position, integer n) pairs, d the lcm of their
+    denominators; formed once per expansion."""
     entry = exp._rho_table.get((k, e))
     if entry is None:
         cols = _columns(DiffOp({k: LaurentSeries.monomial(e)}), exp)
         g = len(cols)
-        entry = exp._rho_table[k, e] = tuple(
-            (i * g + j, _integral(x)) for j, col in enumerate(cols)
-            for i, x in enumerate(col) if x)
+        nonzero = [(i * g + j, x) for j, col in enumerate(cols)
+                   for i, x in enumerate(col) if x]
+        d = lcm(*(x.denominator for _, x in nonzero))
+        entry = exp._rho_table[k, e] = (d, tuple(
+            (p, x.numerator * (d // x.denominator)) for p, x in nonzero))
     return entry
 
 
@@ -274,6 +273,10 @@ def _table_rho(op, exp):
     the g_j^(k)), reduce_O is linear on the columns and on every table
     entry they need, and none of them raises. A term whose products have
     no pole adds nothing to a class and is skipped.
+
+    The sum runs on integer numerators over one denominator, the lcm of
+    the terms' a_(k,e).denominator * d, so each matrix entry is one
+    Fraction, normalized once.
     """
     window = exp.precision - 2
     terms = []
@@ -285,15 +288,23 @@ def _table_rho(op, exp):
         if lowest is not None and lowest + o < -window:
             return None
         terms.extend((k, e, c) for e, c in a.coeffs.items() if e + o < 0)
+    scaled = []
+    den = 1
+    for k, e, c in terms:
+        d, entry = _table_entry(exp, k, e)
+        if entry:
+            d *= c.denominator
+            den = lcm(den, d)
+            scaled.append((c.numerator, d, entry))
     g = len(exp.gaps_O)
     acc = [0] * (g * g)
-    for k, e, c in terms:
-        c = _integral(c)
-        for p, x in _table_entry(exp, k, e):
-            acc[p] += c * x
-    acc = [Fraction(x) for x in acc]
-    return HomMatrix._trusted([acc[i * g:(i + 1) * g] for i in range(g)],
-                              list(exp.gaps_O))
+    for n, d, entry in scaled:
+        n *= den // d
+        for p, x in entry:
+            acc[p] += n * x
+    return HomMatrix._trusted(
+        [[Fraction(x, den) for x in acc[i * g:(i + 1) * g]]
+         for i in range(g)], list(exp.gaps_O))
 
 
 def rho(op, exp):

@@ -224,6 +224,10 @@ class LaurentSeries(object):
 
     def scaled(self, c):
         c = Fraction(c)
+        if c == 1:
+            return LaurentSeries._trusted(dict(self.coeffs), self.trunc)
+        if c == -1:  # a negation skips the gcd work of a product
+            return -self
         if not c:
             return LaurentSeries._trusted({}, self.trunc)
         return LaurentSeries._trusted(

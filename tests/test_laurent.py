@@ -302,6 +302,12 @@ def test_internal_results_meet_the_constructor_invariant(a, b, c, cut, k):
     for r in results:
         assert_constructor_invariant(r)
     assert (a - a).is_visible_zero() and (a + (-a)).is_visible_zero()
+    for unit in (1, -1):  # fast paths: a fresh series, no product formed
+        r = a.scaled(unit)
+        assert_constructor_invariant(r)
+        assert r is not a and r.coeffs is not a.coeffs
+        assert canon(r) == canon(LaurentSeries(
+            {e: v * unit for e, v in a.coeffs.items()}, a.trunc))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,23 @@ E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
 E7 = expand_curve(HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1]),
                   default_precision(3))
+
+
+def dense_expansion(seed, genus=3, precision=60):
+    """A seeded monic curve whose other coefficients are p/q with |p|,
+    q <= 9: its deep rho table entries have denominators with odd prime
+    factors, where the fixtures' have powers of two."""
+    rng = random.Random(seed)
+    while True:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                  for _ in range(2 * genus + 1)]
+        try:
+            return expand_curve(HyperellipticCurve(coeffs + [1]), precision)
+        except ValueError:  # p not squarefree
+            continue
+
+
+ED = dense_expansion(61)
 
 
 def mono(k, c=1):
@@ -228,7 +246,8 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
-@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_rho_matches_full_length_reference(exp, data):
@@ -284,7 +303,8 @@ def table_edge_cases(exp):
     return cases
 
 
-@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
 def test_rho_table_edges_match_full_length_reference(exp):
     fallbacks = 0
     for op, must_fall_back in table_edge_cases(exp):
@@ -293,6 +313,27 @@ def test_rho_table_edges_match_full_length_reference(exp):
             fallbacks += must_fall_back
         assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
     assert fallbacks >= 12
+
+
+def test_rho_table_entries_are_integer_numerators_over_their_lcm():
+    exp = dense_expansion(61)  # a table of its own, filled here
+    edge = exp.precision - 2
+    for k in (1, 2, 3):
+        o, _ = derivative_bounds(exp, k)
+        for e in range(-edge - o - 1, 0):  # the first one is past the edge
+            outcome(rho, DiffOp({k: LaurentSeries.monomial(e)}), exp)
+    dens = []
+    for (k, e), (d, pairs) in exp._rho_table.items():
+        m = full_rho(DiffOp({k: LaurentSeries.monomial(e)}), exp).entries
+        g = len(m)
+        nonzero = {i * g + j: x for i, row in enumerate(m)
+                   for j, x in enumerate(row) if x}
+        assert type(d) is int and all(type(n) is int for _, n in pairs)
+        assert d == lcm(*(x.denominator for x in nonzero.values()))
+        assert {p: Fraction(n, d) for p, n in pairs} == nonzero
+        dens.append(d)
+    # denominators that are not powers of two reach the lcm scaling
+    assert len(dens) >= 20 and sum(d & (d - 1) != 0 for d in dens) >= 3
 
 
 def test_rho_tables_are_per_expansion():
@@ -380,6 +421,18 @@ def test_ell1_n_routes_agree_at_higher_order():
     fields = [mono(-1), mono(2), mono(-3), mono(1)]
     assert ell1_n(fields, E5) == ell1_n_contraction(fields, E5) \
         == full_contraction(fields, E5)
+
+
+def test_ell1_n_routes_agree_on_a_dense_rational_curve():
+    rng = random.Random(67)
+    coefficient = [Fraction(p, q) for p in range(-9, 10) if p
+                   for q in range(1, 10)]
+    for n in range(1, DEFAULT_MAX_ORDER + 1):
+        for _ in range(3):
+            fields = [WittElement(LaurentSeries(
+                {rng.randint(-6, 6): rng.choice(coefficient)
+                 for _ in range(3)})) for _ in range(n)]
+            assert ell1_n(fields, ED) == ell1_n_contraction(fields, ED)
 
 
 def test_ell1_n_multilinear():
