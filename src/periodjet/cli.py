@@ -15,9 +15,10 @@ wall-clock timings, which is the one non-reproducible field.
 
 Precision resolution order: --precision flag, then the "precision" field
 of the curve file, then the PERIODJET_PRECISION environment variable,
-then the default 8g+24. A precision above MAX_PRECISION from any of them
-is a precision error, and so is a curve whose precision floor 4g+4 is
-above it.
+then the default 8g+24; check without --curve resolves it for each
+fixture curve. A precision above MAX_PRECISION from any of them is a
+precision error, and so is a curve whose precision floor 4g+4 is above
+it.
 
 Exit codes: 0 success, 1 invariant failure, 2 input error, 3 precision
 error, 4 unsupported order, 5 internal error (an uncaught exception,
@@ -90,22 +91,30 @@ EXPECTED_REGRESSIONS = {
 }
 
 
-class JobConfig(object):
-    """Resolved inputs of one invocation: the curve, the working precision,
-    and the command-specific parameters."""
-
-    def __init__(self, curve, precision, fields=None, n=None, k=None,
-                 out=None):
-        self.curve = curve
-        self.precision = precision
-        self.fields = fields
-        self.n = n
-        self.k = k
-        self.out = out
-
-
 class CheckFailure(Exception):
     """An invariant check did not hold; the message names the witness."""
+
+
+# The exit code of each refusal, by exception class; any other exception
+# is an internal error.
+EXIT_CODES = {
+    CheckFailure: EXIT_INVARIANT,
+    ValueError: EXIT_INPUT,
+    KeyError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+    PrecisionExhausted: EXIT_PRECISION,
+    UnreducibleExponent: EXIT_PRECISION,
+    UnsupportedOrder: EXIT_ORDER,
+}
+
+
+def _refusal(e):
+    """Exit code and message of a refusal in EXIT_CODES; a precision
+    error's message names its type."""
+    code = next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
+    if code == EXIT_PRECISION:
+        return code, "%s: %s" % (type(e).__name__, e)
+    return code, str(e)
 
 
 def poly_label(curve):
@@ -167,14 +176,13 @@ def _expand(curve, precision):
         raise PrecisionExhausted(str(e))
 
 
-def cmd_info(config):
-    exp = _expand(config.curve, config.precision)
-    g = config.curve.genus
+def cmd_info(curve, precision):
+    exp = _expand(curve, precision)
     return {
         "command": "info",
-        "curve": curve_to_json(config.curve, config.precision),
-        "polynomial": poly_label(config.curve),
-        "genus": g,
+        "curve": curve_to_json(curve, precision),
+        "polynomial": poly_label(curve),
+        "genus": curve.genus,
         "gaps_O": list(exp.gaps_O),
         "gaps_Theta": list(exp.gaps_Theta),
         "k0_pole_orders": [m for m, _ in exp.k0_basis],
@@ -185,24 +193,24 @@ def cmd_info(config):
     }
 
 
-def cmd_compute(config, which):
-    exp = _expand(config.curve, config.precision)
+def cmd_compute(curve, precision, which, raw, n, k):
+    if which != "elln" and (n is not None or k is not None):
+        raise ValueError("--n/--k only apply to elln")
+    exp = _expand(curve, precision)
     base = {
         "command": "compute",
         "which": which,
-        "curve": curve_to_json(config.curve, config.precision),
+        "curve": curve_to_json(curve, precision),
     }
-    raw = config.fields
     if raw is None:
         raise ValueError("compute needs --fields")
 
-    if which == "nu1":
-        (f,) = _parse_field_list(raw, want=1)
-        base["result"] = _matrix_payload(nu1(f, exp), exp)
-    elif which in ("ell2", "ell2-lie"):
-        f1, f2 = _parse_field_list(raw, want=2)
-        fn = ell2 if which == "ell2" else ell2_via_lie
-        base["result"] = _matrix_payload(fn(f1, f2, exp), exp)
+    if which in ("nu1", "ell2", "ell2-lie"):
+        # built per call: a patched or traced module attribute is the one
+        # that runs
+        fn = {"nu1": nu1, "ell2": ell2, "ell2-lie": ell2_via_lie}[which]
+        fields = _parse_field_list(raw, want=1 if which == "nu1" else 2)
+        base["result"] = _matrix_payload(fn(*fields, exp), exp)
     elif which == "d2phi":
         f1, f2 = _parse_field_list(raw, want=2)
         jet = d2Phi(f1, f2, exp)
@@ -230,11 +238,10 @@ def cmd_compute(config, which):
         base["result"] = payload
     elif which == "elln":
         fields = _parse_field_list(raw)
-        if config.n is not None and config.n != len(fields):
+        if n is not None and n != len(fields):
             raise ValueError("--n %d does not match %d supplied fields"
-                             % (config.n, len(fields)))
-        k = 1 if config.k is None else config.k
-        if k == 1:
+                             % (n, len(fields)))
+        if k is None or k == 1:
             base["result"] = _matrix_payload(ell1_n(fields, exp), exp)
         else:
             s = ell_k_n(fields, k, exp)
@@ -243,17 +250,15 @@ def cmd_compute(config, which):
                 "symmetry": [[is_symmetric_hom(m, exp) for m in term]
                              for term in s.terms],
             }
-    else:
-        raise ValueError("unknown computation %r" % (which,))
     return base
 
 
 # --- the embedded check suite ----------------------------------------------
 
-def _random_sparse_field(rng, lo=-6, hi=6, max_terms=3):
+def _random_sparse_field(rng):
     coeffs = {}
-    for _ in range(rng.randint(1, max_terms)):
-        coeffs[rng.randint(lo, hi)] = Fraction(
+    for _ in range(rng.randint(1, 3)):
+        coeffs[rng.randint(-6, 6)] = Fraction(
             rng.choice([-3, -2, -1, 1, 2, 3]))
     return WittElement(LaurentSeries(coeffs))
 
@@ -446,50 +451,41 @@ def run_checks(expansions, expected=EXPECTED_REGRESSIONS):
     """Run every check over the given expansions. Returns (report, exit
     code); the report lists each check with status and timing, and names
     the first failure."""
-    rows = []
-    failed = None
-    code = EXIT_OK
-
-    def execute(name, curve_label, thunk):
-        nonlocal failed, code
-        t0 = time.perf_counter()
-        try:
-            thunk()
-            status = "pass"
-        except CheckFailure as e:
-            status = "fail: %s" % e
-            if failed is None:
-                failed, code = name, EXIT_INVARIANT
-        except (PrecisionExhausted, UnreducibleExponent) as e:
-            status = "error: %s: %s" % (type(e).__name__, e)
-            if failed is None:
-                failed, code = name, EXIT_PRECISION
-        rows.append({"name": name, "curve": curve_label, "status": status,
-                     "seconds": round(time.perf_counter() - t0, 3)})
-
-    for name, fn in GLOBAL_CHECKS:
-        execute(name, None, fn)
+    tasks = [(name, None, fn, ()) for name, fn in GLOBAL_CHECKS]
     for exp in expansions:
         label = poly_label(exp.curve)
-        for name, fn in CURVE_CHECKS:
-            execute(name, label, lambda fn=fn, exp=exp: fn(exp))
-        execute("fixture-regressions", label,
-                lambda exp=exp: _check_fixture_regressions(exp, expected))
+        tasks += [(name, label, fn, (exp,)) for name, fn in CURVE_CHECKS]
+        tasks.append(("fixture-regressions", label,
+                      _check_fixture_regressions, (exp, expected)))
+    rows, failed, code = [], None, EXIT_OK
+    for name, label, fn, fn_args in tasks:
+        t0 = time.perf_counter()
+        try:
+            fn(*fn_args)
+            status = "pass"
+        except (CheckFailure, PrecisionExhausted, UnreducibleExponent) as e:
+            row_code, message = _refusal(e)
+            status = ("fail: " if row_code == EXIT_INVARIANT
+                      else "error: ") + message
+            if failed is None:
+                failed, code = name, row_code
+        rows.append({"name": name, "curve": label, "status": status,
+                     "seconds": round(time.perf_counter() - t0, 3)})
     return {"command": "check",
             "checks": rows,
             "failed": failed}, code
 
 
-def cmd_check(config):
-    if config.curve is not None:
-        curves = [(config.curve, config.precision)]
+def cmd_check(curve, precision, precision_flag):
+    """The suite on the given curve, or without one on the fixture curves
+    at the precision that precision_flag, the environment or the default
+    gives each."""
+    if curve is not None:
+        curves = [(curve, precision)]
     else:
-        curves = []
-        for coeffs in FIXTURE_CURVES:
-            c = HyperellipticCurve(coeffs)
-            curves.append((c, _resolve_precision(None, None, c.genus)))
-    expansions = [_expand(c, p) for c, p in curves]
-    return run_checks(expansions)
+        curves = [(c, _resolve_precision(precision_flag, None, c.genus))
+                  for c in map(HyperellipticCurve, FIXTURE_CURVES)]
+    return run_checks([_expand(c, p) for c, p in curves])
 
 
 # --- argument plumbing ------------------------------------------------------
@@ -534,8 +530,10 @@ def _parse_json(text, what):
         raise ValueError("%s JSON is nested too deeply" % what)
 
 
-def _load_job(args, need_curve):
-    curve, file_precision = None, None
+def _load_job(args):
+    """The curve of --curve and its resolved precision (both None without
+    --curve), and the parsed --fields (None without it)."""
+    curve = precision = fields = None
     if args.curve is not None:
         with open(args.curve) as fh:
             text = fh.read()
@@ -547,18 +545,11 @@ def _load_job(args, need_curve):
                 "a genus-%d curve needs precision at least 4g+4 = %d, above "
                 "the ceiling MAX_PRECISION = %d"
                 % (e.genus, precision_floor(e.genus), MAX_PRECISION))
-    elif need_curve:
-        raise ValueError("this command needs --curve")
-    precision = None
-    if curve is not None:
         precision = _resolve_precision(args.precision, file_precision,
                                        curve.genus)
-    fields = None
     if getattr(args, "fields", None) is not None:
         fields = _parse_json(args.fields, "--fields")
-    return JobConfig(curve, precision, fields=fields,
-                     n=getattr(args, "n", None), k=getattr(args, "k", None),
-                     out=args.out)
+    return curve, precision, fields
 
 
 def _int_flag(text):
@@ -619,32 +610,18 @@ def main(argv=None):
 
 def _run(args):
     try:
+        curve, precision, fields = _load_job(args)
         if args.subcommand == "info":
-            config = _load_job(args, need_curve=True)
-            payload, code = cmd_info(config), EXIT_OK
+            payload, code = cmd_info(curve, precision), EXIT_OK
         elif args.subcommand == "compute":
-            config = _load_job(args, need_curve=True)
-            if args.which != "elln" and (args.n is not None
-                                         or args.k is not None):
-                raise ValueError("--n/--k only apply to elln")
-            payload, code = cmd_compute(config, args.which), EXIT_OK
+            payload, code = cmd_compute(curve, precision, args.which, fields,
+                                        args.n, args.k), EXIT_OK
         else:
-            config = _load_job(args, need_curve=False)
-            payload, code = cmd_check(config)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print("periodjet: %s" % e, file=sys.stderr)
-        return EXIT_INPUT
-    except (PrecisionExhausted, UnreducibleExponent) as e:
-        print("periodjet: %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return EXIT_PRECISION
-    except UnsupportedOrder as e:
-        print("periodjet: %s" % e, file=sys.stderr)
-        return EXIT_ORDER
-    try:
-        _emit(payload, config.out)
-    except OSError as e:
-        print("periodjet: %s" % e, file=sys.stderr)
-        return EXIT_INPUT
+            payload, code = cmd_check(curve, precision, args.precision)
+        _emit(payload, args.out)
+    except tuple(EXIT_CODES) as e:
+        code, message = _refusal(e)
+        print("periodjet: %s" % message, file=sys.stderr)
     return code
 
 

@@ -39,8 +39,7 @@ from fractions import Fraction
 from math import lcm
 
 from .laurent import (
-    LaurentSeries, PrecisionExhausted, rational_from_str, rational_to_str,
-    symplectic_pair)
+    LaurentSeries, PrecisionExhausted, rational_to_str, symplectic_pair)
 from .linalg import det
 from .witt import DiffOp, diffop_apply
 
@@ -336,19 +335,3 @@ def hom_to_json(hom):
     return {"basis_gaps": list(hom.basis_gaps),
             "entries": [[rational_to_str(x) for x in row]
                         for row in hom.entries]}
-
-
-def hom_from_json(obj):
-    if not isinstance(obj, dict) or set(obj) - {"basis_gaps", "entries"}:
-        raise ValueError("matrix JSON must have basis_gaps and entries only")
-    gaps = obj.get("basis_gaps")
-    rows = obj.get("entries")
-    if not isinstance(gaps, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) for n in gaps):
-        raise ValueError("basis_gaps must be a list of integers")
-    if sorted(gaps) != gaps or len(set(gaps)) != len(gaps):
-        raise ValueError("basis_gaps must be strictly ascending")
-    if not isinstance(rows, list):
-        raise ValueError("entries must be a list of rows")
-    return HomMatrix([[rational_from_str(x) for x in row] for row in rows],
-                     gaps)

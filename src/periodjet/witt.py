@@ -23,10 +23,7 @@ non-symplectic second derivative g -> g'' fails already at radius 4.
 
 from math import comb
 
-from .laurent import (
-    INF, LaurentSeries, derive, int_from_key, product_below, symplectic_pair)
-from .laurent import from_json as series_from_json
-from .laurent import to_json as series_to_json
+from .laurent import INF, LaurentSeries, derive, product_below, symplectic_pair
 
 
 class WittElement(object):
@@ -200,21 +197,3 @@ def sp_witness(op, radius):
             if symplectic_pair(images[a], zb) != symplectic_pair(images[b], za):
                 return False
     return True
-
-
-def to_json(op):
-    """JSON form {"terms": {"<order>": <series JSON>}}."""
-    return {"terms": {str(k): series_to_json(a)
-                      for k, a in op.terms.items()}}
-
-
-def from_json(obj):
-    if not isinstance(obj, dict) or set(obj) - {"terms"}:
-        raise ValueError("operator JSON must be {\"terms\": {...}}")
-    raw = obj.get("terms", {})
-    if not isinstance(raw, dict):
-        raise ValueError("operator terms must be an object")
-    terms = {}
-    for k, v in raw.items():
-        terms[int_from_key(k, "operator order")] = series_from_json(v)
-    return DiffOp(terms)

@@ -462,6 +462,80 @@ def test_check_passes_on_fixtures(capsys):
         {None, "x^5 + 1", "x^7 - x + 1"}
 
 
+CURVE_CHECK_NAMES = (
+    "curve-expansion", "serre-duality", "first-differential-vanishing",
+    "second-order-route-equivalence", "commutator-sign",
+    "second-rep-consistency", "higher-order-routes", "fixture-regressions")
+GLOBAL_ROWS = [(None, "lie-homomorphism", "pass"),
+               (None, "sp-witness", "pass"),
+               (None, "pair-action-embedding", "pass")]
+WINDOW_ERROR = ("error: UnreducibleExponent: H^1(O) reduction hit pole "
+                "order 11, beyond the basis window 10 at this precision")
+
+
+def check_report(capsys, argv):
+    """Exit code, rows as (curve, name, status), and the failed check of a
+    check run; the timings are dropped."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out)
+    assert set(report) == {"command", "checks", "failed"}
+    assert report["command"] == "check"
+    for row in report["checks"]:
+        assert set(row) == {"curve", "name", "status", "seconds"}
+    rows = [(row["curve"], row["name"], row["status"])
+            for row in report["checks"]]
+    return code, rows, report["failed"]
+
+
+def test_check_report_is_pinned_on_the_fixtures(capsys):
+    code, rows, failed = check_report(capsys, ["check"])
+    assert (code, failed) == (0, None)
+    assert rows == GLOBAL_ROWS + [
+        (label, name, "pass") for label in ("x^5 + 1", "x^7 - x + 1")
+        for name in CURVE_CHECK_NAMES]
+
+
+def test_check_error_rows_are_pinned(tmp_path, capsys):
+    code, rows, failed = check_report(
+        capsys, ["check", "--curve", write_curve(tmp_path),
+                 "--precision", "12"])
+    assert (code, failed) == (3, "curve-expansion")
+    statuses = [
+        "error: PrecisionExhausted: residue needs the z^-1 coefficient, "
+        "series only known below z^-2",
+        "pass", "pass", WINDOW_ERROR, WINDOW_ERROR, WINDOW_ERROR,
+        "error: PrecisionExhausted: H^1(O) reduction needs truncation >= 1, "
+        "input has -2",
+        "pass"]
+    assert rows == GLOBAL_ROWS + [
+        ("x^5 + 1", name, status)
+        for name, status in zip(CURVE_CHECK_NAMES, statuses)]
+
+
+@pytest.mark.parametrize("precision", ["5000", "13"])
+def test_check_precision_flag_applies_to_the_fixtures(capsys, precision):
+    # 5000 is above the ceiling; 13 is below the floor 16 of x^7 - x + 1
+    assert main(["check", "--precision", precision]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    if precision == "5000":
+        assert err == (
+            "periodjet: PrecisionExhausted: precision 5000 from --precision "
+            "is above the ceiling MAX_PRECISION = %d\n" % MAX_PRECISION)
+
+
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["info", "--curve", write_curve(tmp_path),
+                 "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("periodjet: ") and str(target) in err
+    assert not target.parent.exists()
+
+
 def test_check_detects_tampered_expectations():
     exp = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]), 40)
     tampered = copy.deepcopy(EXPECTED_REGRESSIONS)

@@ -7,7 +7,7 @@ from periodjet import hodge
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
 from periodjet.hodge import (
     GapClass, HomMatrix, UnreducibleExponent, duality_det,
-    duality_matrix, hom_from_json, hom_to_json, is_symmetric_hom, reduce_O,
+    duality_matrix, hom_to_json, is_symmetric_hom, reduce_O,
     reduce_Theta, rho)
 from periodjet.laurent import (
     LaurentSeries, PrecisionExhausted, symplectic_pair)
@@ -183,12 +183,6 @@ def test_hom_matrix_json():
     obj = hom_to_json(m)
     assert obj == {"basis_gaps": [1, 3],
                    "entries": [["1/2", "0/1"], ["-3/1", "4/1"]]}
-    assert hom_from_json(obj) == m
-    with pytest.raises(ValueError):
-        hom_from_json({"basis_gaps": [3, 1], "entries": [["1", "0"],
-                                                         ["0", "1"]]})
-    with pytest.raises(ValueError):
-        hom_from_json({"basis_gaps": [1, 3]})
     with pytest.raises(ValueError):
         HomMatrix([[1, 2]], [1, 3])
 

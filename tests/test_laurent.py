@@ -10,7 +10,6 @@ from periodjet.laurent import (
     PrecisionExhausted, ZeroSeries, derive, from_json, integrate,
     int_from_key, invert, product_below, rational_from_str, rational_to_str,
     residue, sqrt_unit, sqrt_unit_with_inverse, symplectic_pair, to_json)
-from periodjet.witt import from_json as diffop_from_json
 
 from series_reference import (
     canon, fraction_sqrt_unit, full_product, full_symplectic_pair)
@@ -445,12 +444,8 @@ def test_json_keys_must_be_canonical_integers():
                 "1\n", "", "-", "1.0", "0x1"):
         with pytest.raises(ValueError, match="canonical integer"):
             from_json({"trunc": 4, "coeffs": {key: "1"}})
-        with pytest.raises(ValueError, match="canonical integer"):
-            diffop_from_json({"terms": {key: {"trunc": 4, "coeffs": {}}}})
     with pytest.raises(ValueError):
         from_json({"trunc": 4, "coeffs": {"-1": "1", "-0_1": "2"}})
-    assert diffop_from_json({"terms": {"2": {"trunc": 4, "coeffs": {}}}}) \
-        .terms == {2: LaurentSeries.zero(4)}
 
 
 def test_str_forms():

@@ -6,8 +6,8 @@ import pytest
 from periodjet.laurent import (
     INF, LaurentSeries, PrecisionExhausted, derive)
 from periodjet.witt import (
-    DiffOp, WittElement, diffop_apply, diffop_compose, from_json, phi,
-    sp_witness, to_json, witt_bracket)
+    DiffOp, WittElement, diffop_apply, diffop_compose, phi, sp_witness,
+    witt_bracket)
 
 
 def random_field(rng, lo=-5, hi=6, nterms=3):
@@ -152,18 +152,3 @@ def test_diffop_constructor_invariants():
     assert DiffOp.zero() != None  # noqa: E711 (a foreign operand)
     image = diffop_apply(unknown, LaurentSeries.monomial(-2))
     assert image.is_visible_zero() and image.trunc == -6
-
-
-def test_json_roundtrip():
-    op = DiffOp({1: LaurentSeries({-2: Fraction(1, 3)}, 5),
-                 3: LaurentSeries({0: -2}, 7)})
-    obj = to_json(op)
-    assert obj == {"terms": {"1": {"trunc": 5, "coeffs": {"-2": "1/3"}},
-                             "3": {"trunc": 7, "coeffs": {"0": "-2/1"}}}}
-    assert from_json(obj) == op
-    with pytest.raises(ValueError):
-        from_json({"terms": {"one": {"trunc": 1, "coeffs": {}}}})
-    with pytest.raises(ValueError):
-        from_json({"terms": {"0": {"trunc": 1, "coeffs": {}}}})
-    with pytest.raises(ValueError):
-        from_json({"spurious": {}})
