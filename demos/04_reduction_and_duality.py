@@ -1,10 +1,10 @@
 """Reduction to canonical representatives and the duality pairing.
 
-Any series is reduced against the function basis until only gap
-exponents remain: the resulting coordinate vector is its class in the
-g-dimensional quotient. Pairing the holomorphic integrals against the
-gap monomials gives an invertible g x g matrix, the exact form of the
-duality between the two quotients the package works in.
+A class in the g-dimensional quotient is fixed by its residue pairings
+with the holomorphic integrals g_i. Pairing the g_i against the gap
+monomials gives an invertible g x g matrix D, the exact form of the
+duality between the two quotients the package works in, and the gap
+coordinates of a series h are D^-1 times its pairings <g_i, h>.
 """
 
 from fractions import Fraction
@@ -24,17 +24,19 @@ h = LaurentSeries({-5: 4, -3: 7, -1: 2, 6: 1})
 cls = reduce_O(h, exp)
 print("class of 4z^-5 + 7z^-3 + 2z^-1 + z^6 on gaps", cls.gaps,
       "is", cls.coords)
-# z^-5 is a realized pole (the y function), so it reduces away; the gap
-# coefficients survive up to the corrections the subtraction introduces
+# z^-5 is the polar part of the function y on this curve, so it pairs to
+# zero with every g_i and its class vanishes; the gap terms 7z^-3 + 2z^-1
+# are their own coordinates, and z^6 pairs to zero
 assert cls.gaps == [1, 3]
-assert cls.coords[1] == 7        # nothing with pole 3 exists to subtract
+assert cls.coords == [2, 7]
 
 # reducing any basis function gives zero, and positive parts never matter
 for _, e in exp.k0_basis:
     assert reduce_O(e, exp).is_zero()
 assert reduce_O(LaurentSeries({2: 9, 11: -4}), exp).is_zero()
 
-# the same machinery on vector fields, against the field basis
+# the same machinery on vector fields, pairing with the quadratic
+# differentials: a field of the basis has the zero class
 zeta = exp.theta_basis[0][1]
 assert reduce_Theta(zeta, exp).is_zero()
 print("every basis element reduces to the zero class")

@@ -514,8 +514,9 @@ def _resolve_precision(flag_value, file_value, genus):
 
 
 def _parse_json(text, what):
-    """json.loads, reporting input nested past the parser's recursion
-    limit, and an object that repeats a key, as input errors."""
+    """json.loads, reporting input that is not JSON, input nested past the
+    parser's recursion limit, and an object that repeats a key, as input
+    errors that name the input."""
     def unique_keys(pairs):
         obj = {}
         for key, value in pairs:
@@ -528,6 +529,8 @@ def _parse_json(text, what):
         return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError("%s JSON is nested too deeply" % what)
+    except json.JSONDecodeError as e:
+        raise ValueError("%s JSON is not valid: %s" % (what, e))
 
 
 def _load_job(args):

@@ -22,10 +22,12 @@ everything the reduction and period-map layers consume:
                  i = 1..g, each of positive order.
 
 Pole orders are arithmetic here: a function x^a y^b has pole order
-2a + (2g+1)b, a field x^a y^b v0 has 2a + (2g+1)b + (2g-2). Elements of
-larger pole order than the public cutoffs are still constructible (the
-reduction layer asks for them up to precision - 2) via element_of_pole_O /
-element_of_pole_Theta; both return None at gap orders.
+2a + (2g+1)b, a field x^a y^b v0 has 2a + (2g+1)b + (2g-2).
+element_of_pole_O / element_of_pole_Theta build the element of any pole
+order, known below precision - m, and return None at gap orders; the
+bases above are read off them. The reduction layer does not ask for
+them: it reduces by Serre duality, pairing with the g_i and with the
+quadratic differentials, from 1/y and the polynomial p(x) = y^2.
 """
 
 from fractions import Fraction
@@ -141,6 +143,14 @@ class HyperellipticCurve(object):
         return "HyperellipticCurve(%r)" % (self.p_coeffs,)
 
 
+def _basis_and_gaps(element_at, cutoff):
+    """The (m, element) pairs of the pole orders m = 1..cutoff that
+    element_at realizes, and the other orders, the gaps."""
+    elems = [(m, element_at(m)) for m in range(1, cutoff + 1)]
+    return ([(m, e) for m, e in elems if e is not None],
+            [m for m, e in elems if e is None])
+
+
 class CurveExpansion(object):
     """All z-expansions of a curve at infinity, to a fixed precision.
 
@@ -152,8 +162,9 @@ class CurveExpansion(object):
     (see element_of_pole_Theta).
 
     Immutable after construction apart from internal caches, filled on
-    first use: reduction-basis elements keyed by pole order, and for the
-    hodge layer the duality matrix, the orders of the derivatives of the
+    first use: pole-order elements keyed by pole order, and for the
+    hodge layer the duality matrix, the tables of monomial classes
+    [z^-m] of the two quotients, the orders of the derivatives of the
     g_j, and the table of monomial-operator matrices rho(z^e D^k) keyed
     by (k, e). Raises GapCountMismatch if the gaps below the basis
     cutoffs do not number g and 3g-3.
@@ -183,29 +194,16 @@ class CurveExpansion(object):
         self._o_cache = {}
         self._theta_cache = {}
         self._duality = None
+        self._classes = {}
         self._derivative_orders = {}
         self._rho_table = {}
 
         self.h10_basis = holomorphic_integrals(self)
 
-        cutoff_o = 4 * g + 2
-        cutoff_theta = 6 * g - 2
-        self.k0_basis = []
-        self.gaps_O = []
-        for m in range(1, cutoff_o + 1):
-            elem = self.element_of_pole_O(m)
-            if elem is None:
-                self.gaps_O.append(m)
-            else:
-                self.k0_basis.append((m, elem))
-        self.theta_basis = []
-        self.gaps_Theta = []
-        for m in range(1, cutoff_theta + 1):
-            elem = self.element_of_pole_Theta(m)
-            if elem is None:
-                self.gaps_Theta.append(m)
-            else:
-                self.theta_basis.append((m, elem))
+        self.k0_basis, self.gaps_O = _basis_and_gaps(
+            self.element_of_pole_O, 4 * g + 2)
+        self.theta_basis, self.gaps_Theta = _basis_and_gaps(
+            self.element_of_pole_Theta, 6 * g - 2)
         # Weierstrass gap counts; a mismatch means the cutoffs are wrong
         if len(self.gaps_O) != g or len(self.gaps_Theta) != 3 * g - 3:
             raise GapCountMismatch(g, self.gaps_O, self.gaps_Theta)

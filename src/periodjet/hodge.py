@@ -7,15 +7,25 @@ bases:
     H^1(O)      H / (H+ + K0),        basis [z^-n] for n in gaps_O
     H^1(Theta)  d / (theta (+) d+),   basis [z^-n d/dz] for n in gaps_Theta
 
-reduce_O / reduce_Theta compute the unique representative by an upward
-sweep from the most negative exponent: a realized pole order is cleared by
-subtracting the matching basis element, a gap order contributes a
-coordinate. Exponents >= 0 are killed by the quotient, so inputs are
-treated modulo H+ (respectively d+): a reduction reads only the polar
-part of its input, plus the check that the input is known below z^1
-(respectively z^0). The sweep therefore runs on the input and the basis
-elements truncated at that bound, and reduce_O(x) equals
-reduce_O(x.truncate(1)) exactly, raised exceptions included.
+reduce_O / reduce_Theta compute the gap coordinates by Serre duality,
+on the residue pairing. The quotient pairs nondegenerately with a basis
+of its dual space, so a class is fixed by its pairings, and those of
+the gap monomials form an invertible matrix D:
+
+    H^1(O)      pairs with the g_i:   p(m) = (<g_i, z^-m>)_i = (-m g_i[m])_i,
+                D the duality matrix below;
+    H^1(Theta)  pairs with the quadratic differentials q_i, x^i dx^2/y^2
+                (i <= 2g-2) and x^i dx^2/y (i <= g-3):
+                p(m) = (Res q_i z^-m dz)_i = (q_i[m-1])_i,  D = (p(n_j))_j.
+
+The class of z^-m is D^-1 p(m), kept in a per-expansion table filled on
+first use, and a class is the sum of x_(-m) [z^-m] over the poles of its
+input x. Exponents >= 0 pair to zero, so inputs are treated modulo H+
+(respectively d+): a reduction reads only the polar part of its input,
+plus the check that the input is known below z^1 (respectively z^0), and
+reduce_O(x) equals reduce_O(x.truncate(1)) exactly, raised exceptions
+included. A pole order beyond precision - 2, the window in which the
+expansion's pole-order elements are known, raises UnreducibleExponent.
 
 rho sends an operator alpha to the matrix of
 
@@ -39,13 +49,14 @@ from fractions import Fraction
 from math import lcm
 
 from .laurent import (
-    LaurentSeries, PrecisionExhausted, rational_to_str, symplectic_pair)
-from .linalg import det
+    LaurentSeries, PrecisionExhausted, invert, rational_to_str,
+    symplectic_pair)
+from .linalg import det, row_echelon
 from .witt import DiffOp, diffop_apply
 
 
 class UnreducibleExponent(Exception):
-    """The sweep hit a pole order no basis element covers at this precision."""
+    """A reduction met a pole order beyond the basis window precision - 2."""
 
 
 class GapClass(object):
@@ -148,63 +159,74 @@ class HomMatrix(object):
                                                  self.basis_gaps)
 
 
-def _sweep(series, gaps, element_at, cutoff, min_trunc, what):
-    """Shared reduction sweep; returns gap coordinates in ascending order.
+def _reduce(series, exp, min_trunc, what, gaps, pairing):
+    """The class of series in a quotient with the given gap basis, by
+    Serre duality.
 
-    element_at(m) must return a series of order exactly -m (or None at a
-    gap); its truncation is at least precision - m, which keeps min_trunc
-    intact across subtractions because m <= cutoff = precision - 2.
-    Only exponents below 0 decide the coordinates, so the sweep works on
-    the input and on each subtracted element truncated at min_trunc, after
-    the input's truncation has been checked.
+    Once the input's truncation is checked, the class is the sum of
+    x_(-m) [z^-m] over the input's poles m. The class of z^-m is
+    D^-1 p(m), where pairing(exp) gives p, the pairings of z^-m with a
+    basis of the dual space, and D, the pairings of the gap monomials.
+    D^-1 is the right half of the echelon form of [D | I]. The classes
+    are kept in a per-expansion table, filled one pole order at a time.
     """
     if series.trunc < min_trunc:
         raise PrecisionExhausted(
             "%s reduction needs truncation >= %d, input has %s"
             % (what, min_trunc, series.trunc))
-    gapset = set(gaps)
-    coords = {n: Fraction(0) for n in gaps}
-    work = series.truncate(min_trunc)
-    while True:
-        o = work.order()
-        if o is None or o >= 0:
-            break
-        m = -o
-        c = work.coeffs[o]
-        if m in gapset:
-            coords[m] = c
-            work = work - LaurentSeries.monomial(o, c)
-            continue
-        if m > cutoff:
-            raise UnreducibleExponent(
-                "%s reduction hit pole order %d, beyond the basis window %d "
-                "at this precision" % (what, m, cutoff))
-        elem = element_at(m)
-        if elem is None:
-            raise UnreducibleExponent(
-                "%s reduction: pole order %d is neither a gap nor realized"
-                % (what, m))
-        work = work - elem.truncate(min_trunc).scaled(c / elem.coeff(o))
-    return coords
+    poles = {-e: c for e, c in series.coeffs.items() if e < 0}
+    if poles and max(poles) > exp.precision - 2:
+        raise UnreducibleExponent(
+            "%s reduction hit pole order %d, beyond the basis window %d "
+            "at this precision" % (what, max(poles), exp.precision - 2))
+    if what not in exp._classes:
+        pair, d = pairing(exp)
+        n = len(d)
+        rows, _ = row_echelon([r + [int(i == j) for j in range(n)]
+                               for i, r in enumerate(d)])
+        exp._classes[what] = (pair, [r[n:] for r in rows], {})
+    pair, inverse, classes = exp._classes[what]
+    for m in poles.keys() - classes.keys():
+        p = pair(m)
+        classes[m] = [sum(a * b for a, b in zip(row, p)) for row in inverse]
+    return GapClass._trusted(
+        [sum((c * classes[m][j] for m, c in poles.items()), Fraction(0))
+         for j in range(len(gaps))], list(gaps))
+
+
+def _pairing_O(exp):
+    """p(m) = (<g_i, z^-m>)_i = (-m g_i[m])_i, and D = duality_matrix."""
+    def pair(m):
+        return [-m * gi.coeff(m) for gi in exp.h10_basis]
+    return pair, _duality(exp)
+
+
+def _pairing_Theta(exp):
+    """p(m) = (<q_i, z^-m d/dz>)_i = (q_i[m-1])_i, and its matrix on the
+    gap fields, over the quadratic differentials q_i: x^i dx^2/y^2 for
+    i <= 2g-2 and x^i dx^2/y for i <= g-3, in z 4 z^(-2i-6) / y^2 and
+    4 z^(-2i-6) / y. 1/y^2 is the inverse of the polynomial p(x), formed
+    once, and known below precision + 4g + 2 as (1/y)^2 would be.
+    """
+    g = exp.curve.genus
+    inv_y2 = invert(exp._y_squared.truncate(exp.precision - 4 * g - 2))
+
+    def pair(m):
+        return [4 * s.coeff(m + 2 * i + 5)
+                for s, top in ((inv_y2, 2 * g - 2), (exp._inv_y, g - 3))
+                for i in range(top + 1)]
+    return pair, [list(r) for r in zip(*map(pair, exp.gaps_Theta))]
 
 
 def reduce_O(h, exp):
     """Class of h in H^1(O) = H/(H+ + K0); needs trunc(h) >= 1."""
-    coords = _sweep(h, exp.gaps_O, exp.element_of_pole_O,
-                    exp.precision - 2, 1, "H^1(O)")
-    return GapClass._trusted([coords[n] for n in exp.gaps_O],
-                             list(exp.gaps_O))
+    return _reduce(h, exp, 1, "H^1(O)", exp.gaps_O, _pairing_O)
 
 
 def reduce_Theta(zeta, exp):
     """Class of zeta in H^1(Theta) = d/(theta (+) d+); needs trunc >= 0."""
-    def coefficient_at(m):
-        elem = exp.element_of_pole_Theta(m)
-        return None if elem is None else elem.f
-    coords = _sweep(zeta.f, exp.gaps_Theta, coefficient_at,
-                    exp.precision - 2, 0, "H^1(Theta)")
-    return GapClass._trusted([coords[n] for n in exp.gaps_Theta],
-                             list(exp.gaps_Theta))
+    return _reduce(zeta.f, exp, 0, "H^1(Theta)", exp.gaps_Theta,
+                   _pairing_Theta)
 
 
 def duality_matrix(exp):

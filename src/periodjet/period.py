@@ -154,7 +154,7 @@ def lie_on_form(zeta, h):
     By the min-rule, derive(f * h) has the same coefficients and
     truncation (Cartan: L_zeta omega = d(zeta -| omega)) at the cost of
     one product, not two. The two-product form stays until perfbench's
-    peak_rss_mb stops growing with throughput (ROADMAP item 3): the
+    peak_rss_mb stops growing with throughput (ROADMAP item 1): the
     faster dense jobs would push it past its bound.
     """
     return zeta.f * derive(h) + derive(zeta.f) * h

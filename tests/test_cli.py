@@ -240,6 +240,20 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_json_syntax_errors_name_their_input(tmp_path, capsys):
+    def refusal(what, text):
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(text)
+        return "periodjet: %s JSON is not valid: %s\n" % (what, info.value)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{p: 1")
+    assert main(["info", "--curve", str(bad)]) == 2
+    assert capsys.readouterr() == ("", refusal("curve", "{p: 1"))
+    assert main(["compute", "nu1", "--curve", write_curve(tmp_path),
+                 "--fields", "not json"]) == 2
+    assert capsys.readouterr() == ("", refusal("--fields", "not json"))
+
+
 def test_field_unknown_everywhere_exhausts_precision(tmp_path, capsys):
     # no visible coefficient, nothing known from z^-100 on: the answer
     # would depend on unknown coefficients, so it is refused

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodjet import hodge
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
@@ -11,13 +12,16 @@ from periodjet.hodge import (
     reduce_Theta, rho)
 from periodjet.laurent import (
     LaurentSeries, PrecisionExhausted, symplectic_pair)
-from periodjet.linalg import in_row_span, row_echelon
+from periodjet.linalg import det, row_echelon
 from periodjet.witt import DiffOp, WittElement, phi
+
+from test_period import dense_expansion
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
 E7 = expand_curve(HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1]),
                   default_precision(3))
+ED = dense_expansion(61)
 
 
 def random_tail(rng, lo, nterms=4):
@@ -74,18 +78,35 @@ def test_reduce_O_against_duality_solve():
             assert reduce_O(h, e).coords == solve_square(d, rhs)
 
 
-def test_reduce_O_span_oracle():
-    # sweep result consistent with membership modulo span(k0 tails) + H+
-    rng = random.Random(15)
-    e = E7
-    window = range(-14, 0)
-    rows = [[k.coeff(x) for x in window] for _, k in e.k0_basis]
-    for _ in range(10):
-        h = random_tail(rng, -14, nterms=5)
-        cls = reduce_O(h, e)
+def span_oracle(e, element_at, gaps, reduce, inputs):
+    """Each input minus its class's gap representative lies in the span
+    of the realized elements of pole order up to precision - 2, modulo
+    the nonnegative powers: every order in that window is a gap or
+    realized, so a reduction never meets an order that is neither."""
+    top = e.precision - 2
+    window = range(-top, 0)
+    elems = [(m, element_at(m)) for m in range(1, top + 1)]
+    assert all((m in gaps) != (x is not None) for m, x in elems)
+    rows = [[x.coeff(k) for k in window] for _, x in elems if x is not None]
+    resids = []
+    for h in inputs:
+        cls = reduce(h, e)
         resid = h - LaurentSeries(
-            {-n: c for n, c in zip(e.gaps_O, cls.coords)})
-        assert in_row_span(rows, [resid.coeff(x) for x in window])
+            {-n: c for n, c in zip(gaps, cls.coords)})
+        resids.append([resid.coeff(k) for k in window])
+    # one elimination: all residuals lie in the span iff adding them
+    # leaves the rank unchanged
+    assert row_echelon(rows + resids)[1] == row_echelon(rows)[1]
+
+
+def test_reduce_O_span_oracle():
+    rng = random.Random(15)
+    for e in (E5, E7, ED):
+        monomials = [LaurentSeries.monomial(-m)
+                     for m in range(1, e.precision - 1)]
+        tails = [random_tail(rng, -14, nterms=5) for _ in range(10)]
+        span_oracle(e, e.element_of_pole_O, e.gaps_O, reduce_O,
+                    monomials + tails)
 
 
 def test_reduce_O_errors():
@@ -97,6 +118,15 @@ def test_reduce_O_errors():
     # pole N-2 is still within the window
     ok = reduce_O(LaurentSeries.monomial(-(E5.precision - 2)), E5)
     assert len(ok.coords) == 2
+    # the same window for fields
+    e = expand_curve(E5.curve, 30)
+    with pytest.raises(UnreducibleExponent) as info:
+        reduce_Theta(WittElement.monomial(-29), e)
+    assert str(info.value) == ("H^1(Theta) reduction hit pole order 29, "
+                               "beyond the basis window 28 at this "
+                               "precision")
+    ok = reduce_Theta(WittElement.monomial(-28), e)
+    assert len(ok.coords) == 3
 
 
 def test_reduce_Theta_gap_fields_and_theta():
@@ -114,15 +144,19 @@ def test_reduce_Theta_gap_fields_and_theta():
 
 def test_reduce_Theta_span_oracle():
     rng = random.Random(21)
-    e = E7
-    window = range(-16, 0)
-    rows = [[w.f.coeff(x) for x in window] for _, w in e.theta_basis]
-    for _ in range(10):
-        zeta = WittElement(random_tail(rng, -16, nterms=5))
-        cls = reduce_Theta(zeta, e)
-        resid = zeta.f - LaurentSeries(
-            {-n: c for n, c in zip(e.gaps_Theta, cls.coords)})
-        assert in_row_span(rows, [resid.coeff(x) for x in window])
+    for e in (E5, E7, ED):
+        monomials = [LaurentSeries.monomial(-m)
+                     for m in range(1, e.precision - 1)]
+        tails = [random_tail(rng, -16, nterms=5) for _ in range(10)]
+        span_oracle(e, lambda m: getattr(e.element_of_pole_Theta(m), "f",
+                                         None), e.gaps_Theta,
+                    lambda h, e: reduce_Theta(WittElement(h), e),
+                    monomials + tails)
+        # Serre duality: the quadratic differentials pair nondegenerately
+        # with the gap fields
+        _, d = hodge._pairing_Theta(e)
+        assert len(d) == len(e.gaps_Theta) == 3 * e.curve.genus - 3
+        assert det(d) != 0
 
 
 def test_reduce_Theta_trunc_floor():
@@ -237,3 +271,22 @@ def test_duality_matrix_is_built_once_per_expansion(monkeypatch):
         assert is_symmetric_hom(m, exp)
         assert duality_det(exp) == -4
     assert built == [exp]
+
+
+MONOTONE = [(e, expand_curve(e.curve, e.precision + 8)) for e in (E5, E7, ED)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_reductions_are_monotone_in_precision(data):
+    # a tail the reductions accept at precision P reduces to the same
+    # class on the same curve expanded at P + 8
+    e, finer = data.draw(st.sampled_from(MONOTONE))
+    coeffs = data.draw(st.dictionaries(
+        st.integers(-(e.precision - 2), 6),
+        st.fractions(min_value=-9, max_value=9, max_denominator=9),
+        max_size=6))
+    h = LaurentSeries(coeffs, data.draw(st.integers(1, e.precision)))
+    assert reduce_O(h, e) == reduce_O(h, finer)
+    zeta = WittElement(h)
+    assert reduce_Theta(zeta, e) == reduce_Theta(zeta, finer)
