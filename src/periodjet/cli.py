@@ -13,6 +13,13 @@ with sorted keys and canonical "p/q" rationals, so identical configuration
 yields byte-identical bytes for info and compute; check reports include
 wall-clock timings, which is the one non-reproducible field.
 
+check runs its rows on every CPU the process may use: this process runs
+one share of them and a forked child runs each other share. The report,
+its row order and its bytes but for the timings are those of a serial run,
+and so are the first failure and the exit code. Each row's "seconds" is
+timed in the process that ran it. `taskset -c 0 periodjet check` gives a
+serial run.
+
 Precision resolution order: --precision flag, then the "precision" field
 of the curve file, then the PERIODJET_PRECISION environment variable,
 then the default 8g+24; check without --curve resolves it for each
@@ -447,32 +454,149 @@ CURVE_CHECKS = [
 ]
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _run_row(task):
+    """One check as a report row, and the exit code of its status."""
+    name, label, fn, fn_args = task
+    t0 = time.perf_counter()
+    try:
+        fn(*fn_args)
+        status, code = "pass", EXIT_OK
+    except (CheckFailure, PrecisionExhausted, UnreducibleExponent) as e:
+        code, message = _refusal(e)
+        status = ("fail: " if code == EXIT_INVARIANT else "error: ") + message
+    return {"name": name, "curve": label, "status": status,
+            "seconds": round(time.perf_counter() - t0, 3)}, code
+
+
+def _run_share(tasks, share):
+    """Rows of the tasks at the indices of share, run in order up to the
+    first exception that is not a row: ({index: (row, code)}, (index,
+    exception) or None)."""
+    done = {}
+    for i in share:
+        try:
+            done[i] = _run_row(tasks[i])
+        except Exception as e:
+            return done, (i, e)
+    return done, None
+
+
+def _shares(ntasks, workers):
+    """Task indices dealt to the workers in snake order (0, 1, .., W-1,
+    W-1, .., 0, 0, 1, ..): unlike round-robin, it does not hand the first
+    worker the first task of every round."""
+    shares = [[] for _ in range(workers)]
+    for i in range(ntasks):
+        turn, w = divmod(i, workers)
+        shares[w if turn % 2 == 0 else workers - 1 - w].append(i)
+    return shares
+
+
+def _fork_share(tasks, share):
+    """A child process that runs the share on what it inherits and writes
+    its rows, as JSON, to a pipe; returns (pid, the pipe's read end). The
+    child writes nothing else, flushes no inherited buffer, and stops at
+    its first exception that is not a row."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            done, _ = _run_share(tasks, share)
+            data = json.dumps([[i, row, code]
+                               for i, (row, code) in done.items()]).encode()
+            while data:
+                data = data[os.write(w, data):]
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _read_to_eof(fd):
+    chunks = []
+    while True:
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def _run_tasks(tasks):
+    """(row, code) of every task, in task order, exactly as running them
+    one after another gives them.
+
+    The tasks are dealt over one worker per CPU this process may run on;
+    this process is the first worker and every other one is a forked
+    child (none where os.fork is missing or fails, or where threads run,
+    which a fork could deadlock). A row a child does not deliver, because
+    it met an exception that is not a row or did not finish, is run here,
+    in task order, so the exception raised is the one the serial loop
+    meets first.
+    """
+    threading = sys.modules.get("threading")
+    workers = min(_usable_cpus(), len(tasks))
+    if not hasattr(os, "fork") or (
+            threading is not None and threading.active_count() > 1):
+        workers = 1
+    shares = _shares(len(tasks), workers)
+    own, children = shares[0], []
+    try:
+        for share in shares[1:]:
+            try:
+                children.append(_fork_share(tasks, share))
+            except OSError:  # no process to spare: run the share here
+                own = sorted(own + share)
+        done, error = _run_share(tasks, own)
+        for _, fd in children:
+            try:
+                delivered = json.loads(_read_to_eof(fd))
+            except ValueError:  # cut short: its rows are run here
+                delivered = []
+            done.update((i, (row, code)) for i, row, code in delivered)
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            os.waitpid(pid, 0)
+    stop = len(tasks) if error is None else error[0]
+    for i in range(stop):
+        if i not in done:
+            done[i] = _run_row(tasks[i])
+    if error is not None:
+        raise error[1]
+    return [done[i] for i in range(len(tasks))]
+
+
 def run_checks(expansions, expected=EXPECTED_REGRESSIONS):
     """Run every check over the given expansions. Returns (report, exit
     code); the report lists each check with status and timing, and names
-    the first failure."""
+    the first failure. The checks run on every CPU the process may use
+    (see _run_tasks); the report is the one a serial run gives, but for
+    the timings, each taken in the process that ran its check."""
     tasks = [(name, None, fn, ()) for name, fn in GLOBAL_CHECKS]
     for exp in expansions:
         label = poly_label(exp.curve)
         tasks += [(name, label, fn, (exp,)) for name, fn in CURVE_CHECKS]
         tasks.append(("fixture-regressions", label,
                       _check_fixture_regressions, (exp, expected)))
-    rows, failed, code = [], None, EXIT_OK
-    for name, label, fn, fn_args in tasks:
-        t0 = time.perf_counter()
-        try:
-            fn(*fn_args)
-            status = "pass"
-        except (CheckFailure, PrecisionExhausted, UnreducibleExponent) as e:
-            row_code, message = _refusal(e)
-            status = ("fail: " if row_code == EXIT_INVARIANT
-                      else "error: ") + message
-            if failed is None:
-                failed, code = name, row_code
-        rows.append({"name": name, "curve": label, "status": status,
-                     "seconds": round(time.perf_counter() - t0, 3)})
+    results = _run_tasks(tasks)
+    failed, code = next(((row["name"], code) for row, code in results
+                         if code != EXIT_OK), (None, EXIT_OK))
     return {"command": "check",
-            "checks": rows,
+            "checks": [row for row, _ in results],
             "failed": failed}, code
 
 

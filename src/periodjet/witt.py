@@ -23,7 +23,8 @@ non-symplectic second derivative g -> g'' fails already at radius 4.
 
 from math import comb
 
-from .laurent import INF, LaurentSeries, derive, product_below, symplectic_pair
+from .laurent import (
+    INF, LaurentSeries, _require_residue, derive, product_below)
 
 
 class WittElement(object):
@@ -184,16 +185,23 @@ def sp_witness(op, radius):
     """Finite symplectic-compatibility certificate on monomials.
 
     True iff <op(z^a), z^b> = <op(z^b), z^a> for all a, b with
-    0 < |a|, |b| <= radius. Raises PrecisionExhausted if a required
-    residue is hidden by truncation.
+    0 < |a|, |b| <= radius. Each pairing is read off the image:
+    <f, z^b> = b * f[-b], known when trunc f + b - 1 >= 0, the guard
+    laurent.symplectic_pair applies; otherwise PrecisionExhausted is
+    raised with residue()'s message.
     """
-    monomials = {e: LaurentSeries.monomial(e)
-                 for e in range(-radius, radius + 1) if e != 0}
-    images = {a: diffop_apply(op, za) for a, za in monomials.items()}
-    for a, za in monomials.items():
-        for b, zb in monomials.items():
-            if b < a:
-                continue  # the identity is symmetric in (a, b)
-            if symplectic_pair(images[a], zb) != symplectic_pair(images[b], za):
+    exponents = [e for e in range(-radius, radius + 1) if e != 0]
+    images = {a: diffop_apply(op, LaurentSeries.monomial(a))
+              for a in exponents}
+
+    def pair(a, b):  # <op(z^a), z^b>
+        image = images[a]
+        _require_residue(image.trunc + b - 1)
+        return b * image.coeffs.get(-b, 0)
+
+    for a in exponents:
+        for b in exponents:
+            # the identity is symmetric in (a, b)
+            if b >= a and pair(a, b) != pair(b, a):
                 return False
     return True

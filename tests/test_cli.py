@@ -1,12 +1,15 @@
 import copy
+import errno
 import hashlib
 import json
+import os
+import threading
 
 import pytest
 
 import periodjet.cli
 from periodjet.cli import (
-    EXPECTED_REGRESSIONS, MAX_GENUS, MAX_PRECISION, _resolve_precision, main,
+    CURVE_CHECKS, EXPECTED_REGRESSIONS, GLOBAL_CHECKS, CheckFailure, MAX_GENUS, MAX_PRECISION, _resolve_precision, main,
     poly_label, run_checks)
 from periodjet.curve import HyperellipticCurve, expand_curve
 from periodjet.laurent import PrecisionExhausted
@@ -560,6 +563,168 @@ def test_check_detects_tampered_expectations():
     assert report["failed"] == "fixture-regressions"
     statuses = {row["name"]: row["status"] for row in report["checks"]}
     assert statuses["fixture-regressions"].startswith("fail:")
+
+
+def without_seconds(report):
+    report = copy.deepcopy(report)
+    for row in report["checks"]:
+        del row["seconds"]
+    return report
+
+
+def run_on_workers(monkeypatch, capsys, workers, call):
+    """call() with the checks dealt over the given number of workers;
+    returns its outcome with the timings dropped, the captured stdout and
+    stderr, and the number of processes forked. No child may be left."""
+    monkeypatch.setattr(periodjet.cli, "_usable_cpus", lambda: workers)
+    forked, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    outcome = call()
+    out, err = capsys.readouterr()
+    if out:
+        out = without_seconds(json.loads(out))
+    if isinstance(outcome, tuple):  # run_checks: (report, code)
+        outcome = (without_seconds(outcome[0]), outcome[1])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return (outcome, out, err), len(forked)
+
+
+def assert_workers_agree(monkeypatch, capsys, call):
+    """One worker forks nothing, and two or three give its outcome."""
+    serial, forks = run_on_workers(monkeypatch, capsys, 1, call)
+    assert forks == 0
+    for workers in (2, 3):
+        assert run_on_workers(monkeypatch, capsys, workers, call) == \
+            (serial, workers - 1)
+    return serial
+
+
+def e5_expansion():
+    return expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]), 40)
+
+
+def test_forked_check_report_equals_serial_on_the_fixtures(
+        monkeypatch, capsys):
+    (code, out, err) = assert_workers_agree(
+        monkeypatch, capsys, lambda: main(["check"]))
+    assert (code, err, out["failed"]) == (0, "", None)
+
+
+def test_forked_check_report_equals_serial_on_error_rows(
+        tmp_path, monkeypatch, capsys):
+    argv = ["check", "--curve", write_curve(tmp_path), "--precision", "12"]
+    (code, out, err) = assert_workers_agree(
+        monkeypatch, capsys, lambda: main(argv))
+    assert (code, err, out["failed"]) == (3, "", "curve-expansion")
+
+
+def test_forked_check_report_equals_serial_on_tampered_expectations(
+        monkeypatch, capsys):
+    tampered = copy.deepcopy(EXPECTED_REGRESSIONS)
+    tampered[("1/1", "0/1", "0/1", "0/1", "0/1", "1/1")]["gaps_O"] = [1, 2]
+    exp = e5_expansion()
+    ((report, code), out, err) = assert_workers_agree(
+        monkeypatch, capsys, lambda: run_checks([exp], expected=tampered))
+    assert (code, report["failed"], out, err) == \
+        (1, "fixture-regressions", "", "")
+
+
+def raising(exception):
+    def check(*args):
+        raise exception
+    return check
+
+
+def patch_rows(monkeypatch, failures):
+    """Replace the checks at the given task indices of a one-curve run
+    (3 global rows, then the curve's) by ones that raise."""
+    global_checks, curve_checks = list(GLOBAL_CHECKS), list(CURVE_CHECKS)
+    for i, exception in failures.items():
+        checks, j = ((global_checks, i) if i < len(global_checks)
+                     else (curve_checks, i - len(global_checks)))
+        checks[j] = (checks[j][0], raising(exception))
+    monkeypatch.setattr(periodjet.cli, "GLOBAL_CHECKS", global_checks)
+    monkeypatch.setattr(periodjet.cli, "CURVE_CHECKS", curve_checks)
+
+
+# task indices of a one-curve run that a forked child and the parent run
+# when two workers share it
+CHILD_ROW, LATER_PARENT_ROW = 1, 7
+
+
+def test_task_indices_of_the_failure_cases():
+    parent, child = periodjet.cli._shares(11, 2)
+    assert CHILD_ROW in child and LATER_PARENT_ROW in parent
+    assert periodjet.cli._shares(11, 1) == [list(range(11))]
+
+
+def test_first_failing_row_is_chosen_by_task_order(monkeypatch, capsys):
+    patch_rows(monkeypatch, {CHILD_ROW: CheckFailure("child row"),
+                             LATER_PARENT_ROW: CheckFailure("parent row")})
+    exp = e5_expansion()
+    ((report, code), _, _) = assert_workers_agree(
+        monkeypatch, capsys, lambda: run_checks([exp]))
+    assert (code, report["failed"]) == (1, "sp-witness")
+    statuses = [row["status"] for row in report["checks"]]
+    assert statuses[CHILD_ROW] == "fail: child row"
+    assert statuses[LATER_PARENT_ROW] == "fail: parent row"
+
+
+@pytest.mark.parametrize("first, later", [(CHILD_ROW, LATER_PARENT_ROW),
+                                          (0, CHILD_ROW)])
+def test_forked_internal_error_is_the_serial_one(tmp_path, monkeypatch,
+                                                 capsys, first, later):
+    patch_rows(monkeypatch, {first: RuntimeError("first\nerror"),
+                             later: RuntimeError("later error")})
+    argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
+    (code, out, err) = assert_workers_agree(
+        monkeypatch, capsys, lambda: main(argv))
+    assert (code, out) == (5, "")
+    assert err == "periodjet: internal error: RuntimeError: first error\n"
+
+
+def test_failed_fork_runs_the_checks_here(tmp_path, monkeypatch, capsys):
+    argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
+    serial, _ = run_on_workers(monkeypatch, capsys, 1, lambda: main(argv))
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_on_workers(monkeypatch, capsys, 2, lambda: main(argv)) == \
+        (serial, 0)
+    assert serial[0] == 0
+
+
+def test_rows_a_child_delivers_are_not_run_again_here(monkeypatch, capsys):
+    ran_here = []
+    checks = list(GLOBAL_CHECKS)
+    checks[CHILD_ROW] = ("sp-witness", lambda: ran_here.append(os.getpid()))
+    monkeypatch.setattr(periodjet.cli, "GLOBAL_CHECKS", checks)
+    ((report, code), _, _), forks = run_on_workers(
+        monkeypatch, capsys, 2, lambda: run_checks([]))
+    assert (forks, code, report["failed"], ran_here) == (1, 0, None, [])
+
+
+def test_nothing_is_forked_while_threads_run(monkeypatch, capsys):
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        (_, _, _), forks = run_on_workers(monkeypatch, capsys, 2,
+                                          lambda: run_checks([]))
+    finally:
+        stop.set()
+        waiter.join()
+    assert forks == 0
 
 
 def test_poly_label():

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from periodjet.laurent import (
-    INF, LaurentSeries, PrecisionExhausted, derive)
+    INF, LaurentSeries, PrecisionExhausted, derive, symplectic_pair)
 from periodjet.witt import (
     DiffOp, WittElement, diffop_apply, diffop_compose, phi, sp_witness,
     witt_bracket)
@@ -134,6 +135,47 @@ def test_sp_witness_precision():
     hidden = DiffOp({1: LaurentSeries({-30: 1}, -25)})
     with pytest.raises(PrecisionExhausted):
         sp_witness(hidden, 8)
+
+
+def sp_witness_by_pairing(op, radius):
+    """sp_witness written with laurent.symplectic_pair, pair by pair in
+    the same order."""
+    monomials = {e: LaurentSeries.monomial(e)
+                 for e in range(-radius, radius + 1) if e != 0}
+    images = {a: diffop_apply(op, za) for a, za in monomials.items()}
+    for a, za in monomials.items():
+        for b, zb in monomials.items():
+            if b >= a and (symplectic_pair(images[a], zb)
+                           != symplectic_pair(images[b], za)):
+                return False
+    return True
+
+
+@st.composite
+def witness_operators(draw):
+    """Operators of order at most 2 whose coefficients are exact or known
+    only below a drawn truncation; order-1 ones are phi-images."""
+    terms = {}
+    for k in draw(st.sets(st.integers(1, 2), max_size=2)):
+        coeffs = draw(st.dictionaries(st.integers(-8, 8),
+                                      st.integers(-3, 3), max_size=4))
+        trunc = draw(st.one_of(st.just(INF), st.integers(-8, 12)))
+        terms[k] = LaurentSeries(coeffs, trunc)
+    return DiffOp(terms)
+
+
+def _witness_outcome(fn, op, radius):
+    try:
+        return fn(op, radius)
+    except PrecisionExhausted as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(witness_operators(), st.integers(1, 6))
+def test_sp_witness_matches_the_pairing(op, radius):
+    got = _witness_outcome(sp_witness, op, radius)
+    assert got == _witness_outcome(sp_witness_by_pairing, op, radius)
 
 
 def test_diffop_constructor_invariants():
