@@ -526,15 +526,6 @@ def _fork_share(tasks, share):
     return pid, r
 
 
-def _read_to_eof(fd):
-    chunks = []
-    while True:
-        chunk = os.read(fd, 1 << 16)
-        if not chunk:
-            return b"".join(chunks)
-        chunks.append(chunk)
-
-
 def _run_tasks(tasks):
     """(row, code) of every task, in task order, exactly as running them
     one after another gives them.
@@ -562,8 +553,10 @@ def _run_tasks(tasks):
                 own = sorted(own + share)
         done, error = _run_share(tasks, own)
         for _, fd in children:
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()  # to EOF, when the child exits
             try:
-                delivered = json.loads(_read_to_eof(fd))
+                delivered = json.loads(data)
             except ValueError:  # cut short: its rows are run here
                 delivered = []
             done.update((i, (row, code)) for i, row, code in delivered)
