@@ -9,8 +9,9 @@ import pytest
 
 import periodjet.cli
 from periodjet.cli import (
-    CURVE_CHECKS, EXPECTED_REGRESSIONS, GLOBAL_CHECKS, CheckFailure, MAX_GENUS, MAX_PRECISION, _resolve_precision, main,
-    poly_label, run_checks)
+    CURVE_CHECKS, EXPECTED_REGRESSIONS, GLOBAL_CHECKS, MAX_GENUS,
+    MAX_PRECISION, CheckFailure, _resolve_precision, main, poly_label,
+    run_checks)
 from periodjet.curve import HyperellipticCurve, expand_curve
 from periodjet.laurent import PrecisionExhausted
 
