@@ -201,26 +201,37 @@ def cmd_info(curve, precision):
 
 
 def cmd_compute(curve, precision, which, raw, n, k):
+    # every input is read and checked before the curve is expanded
     if which != "elln" and (n is not None or k is not None):
         raise ValueError("--n/--k only apply to elln")
+    if raw is None:
+        raise ValueError("compute needs --fields")
+    if which == "nu2":
+        if not isinstance(raw, dict) or "upsilon" not in raw:
+            raise ValueError(
+                "nu2 takes a second-order representative object with "
+                "upsilon and sym_pairs")
+        rep = t2rep_from_json(raw)
+    else:
+        fields = _parse_field_list(
+            raw, want={"nu1": 1, "elln": None}.get(which, 2))
+        if which == "elln" and n is not None and n != len(fields):
+            raise ValueError("--n %d does not match %d supplied fields"
+                             % (n, len(fields)))
     exp = _expand(curve, precision)
     base = {
         "command": "compute",
         "which": which,
         "curve": curve_to_json(curve, precision),
     }
-    if raw is None:
-        raise ValueError("compute needs --fields")
 
     if which in ("nu1", "ell2", "ell2-lie"):
         # built per call: a patched or traced module attribute is the one
         # that runs
         fn = {"nu1": nu1, "ell2": ell2, "ell2-lie": ell2_via_lie}[which]
-        fields = _parse_field_list(raw, want=1 if which == "nu1" else 2)
         base["result"] = _matrix_payload(fn(*fields, exp), exp)
     elif which == "d2phi":
-        f1, f2 = _parse_field_list(raw, want=2)
-        jet = d2Phi(f1, f2, exp)
+        jet = d2Phi(*fields, exp)
         base["result"] = {
             "jet": jet_to_json(jet),
             "symmetry": {
@@ -231,23 +242,13 @@ def cmd_compute(curve, precision, which, raw, n, k):
             },
         }
     elif which == "nu2":
-        if not isinstance(raw, dict) or "upsilon" not in raw:
-            raise ValueError(
-                "nu2 takes a second-order representative object with "
-                "upsilon and sym_pairs")
-        rep = t2rep_from_json(raw)
         base["result"] = _matrix_payload(nu2(rep, exp), exp)
     elif which == "ii":
-        f1, f2 = _parse_field_list(raw, want=2)
-        m, interpretation = fundamental_form_II(f1, f2, exp)
+        m, interpretation = fundamental_form_II(*fields, exp)
         payload = _matrix_payload(m, exp)
         payload["interpretation"] = interpretation
         base["result"] = payload
     elif which == "elln":
-        fields = _parse_field_list(raw)
-        if n is not None and n != len(fields):
-            raise ValueError("--n %d does not match %d supplied fields"
-                             % (n, len(fields)))
         if k is None or k == 1:
             base["result"] = _matrix_payload(ell1_n(fields, exp), exp)
         else:
@@ -412,9 +413,9 @@ def _check_higher_order_routes(exp):
             raise CheckFailure("order-3 routes differ at triple %d" % i)
 
 
-def _check_fixture_regressions(exp, expected):
-    want = expected.get(tuple(rational_to_str(c)
-                              for c in exp.curve.p_coeffs))
+def _check_fixture_regressions(exp):
+    want = EXPECTED_REGRESSIONS.get(tuple(rational_to_str(c)
+                                          for c in exp.curve.p_coeffs))
     if want is None:
         return
     if list(exp.gaps_O) != want["gaps_O"]:
@@ -451,6 +452,7 @@ CURVE_CHECKS = [
     ("commutator-sign", _check_commutator_sign),
     ("second-rep-consistency", _check_second_rep_consistency),
     ("higher-order-routes", _check_higher_order_routes),
+    ("fixture-regressions", _check_fixture_regressions),
 ]
 
 
@@ -573,7 +575,7 @@ def _run_tasks(tasks):
     return [done[i] for i in range(len(tasks))]
 
 
-def run_checks(expansions, expected=EXPECTED_REGRESSIONS):
+def run_checks(expansions):
     """Run every check over the given expansions. Returns (report, exit
     code); the report lists each check with status and timing, and names
     the first failure. The checks run on every CPU the process may use
@@ -583,8 +585,6 @@ def run_checks(expansions, expected=EXPECTED_REGRESSIONS):
     for exp in expansions:
         label = poly_label(exp.curve)
         tasks += [(name, label, fn, (exp,)) for name, fn in CURVE_CHECKS]
-        tasks.append(("fixture-regressions", label,
-                      _check_fixture_regressions, (exp, expected)))
     results = _run_tasks(tasks)
     failed, code = next(((row["name"], code) for row, code in results
                          if code != EXIT_OK), (None, EXIT_OK))

@@ -33,8 +33,8 @@ quadratic differentials, from 1/y and the polynomial p(x) = y^2.
 from fractions import Fraction
 
 from .laurent import (
-    LaurentSeries, derive, integrate, invert, rational_from_str,
-    rational_to_str, sqrt_unit_with_inverse)
+    LaurentSeries, derive, integrate, rational_from_str, rational_to_str,
+    sqrt_unit_with_inverse)
 from .witt import WittElement
 
 
@@ -162,12 +162,10 @@ class CurveExpansion(object):
     (see element_of_pole_Theta).
 
     Immutable after construction apart from internal caches, filled on
-    first use: pole-order elements keyed by pole order, and for the
-    hodge layer the duality matrix, the tables of monomial classes
-    [z^-m] of the two quotients, the orders of the derivatives of the
-    g_j, and the table of monomial-operator matrices rho(z^e D^k) keyed
-    by (k, e). Raises GapCountMismatch if the gaps below the basis
-    cutoffs do not number g and 3g-3.
+    first use: pole-order elements keyed by pole order, and one slot,
+    _hodge, that the hodge layer keeps its own state in. Raises
+    GapCountMismatch if the gaps below the basis cutoffs do not number g
+    and 3g-3.
     """
 
     def __init__(self, curve, precision):
@@ -188,15 +186,13 @@ class CurveExpansion(object):
         self.y_series = w.shift(-(2 * g + 1))
         self._inv_y = w_inv.shift(2 * g + 1)
 
-        dx = derive(self.x_series)  # -2 z^-3, exact
-        self.v0_series = WittElement(self.y_series * invert(dx))
+        # v0 = (y/x') d/dz with x' = -2 z^-3
+        self.v0_series = WittElement(
+            self.y_series.shift(3).scaled(Fraction(-1, 2)))
 
         self._o_cache = {}
         self._theta_cache = {}
-        self._duality = None
-        self._classes = {}
-        self._derivative_orders = {}
-        self._rho_table = {}
+        self._hodge = {}  # the hodge layer's own state
 
         self.h10_basis = holomorphic_integrals(self)
 

@@ -9,23 +9,24 @@ bases:
 
 reduce_O / reduce_Theta compute the gap coordinates by Serre duality,
 on the residue pairing. The quotient pairs nondegenerately with a basis
-of its dual space, so a class is fixed by its pairings, and those of
-the gap monomials form an invertible matrix D:
+of its dual space, so a class is fixed by its pairings p(m) of z^-m:
 
-    H^1(O)      pairs with the g_i:   p(m) = (<g_i, z^-m>)_i = (-m g_i[m])_i,
-                D the duality matrix below;
+    H^1(O)      pairs with the g_i:   p(m) = (<g_i, z^-m>)_i = (-m g_i[m])_i;
     H^1(Theta)  pairs with the quadratic differentials q_i, x^i dx^2/y^2
                 (i <= 2g-2) and x^i dx^2/y (i <= g-3):
-                p(m) = (Res q_i z^-m dz)_i = (q_i[m-1])_i,  D = (p(n_j))_j.
+                p(m) = (Res q_i z^-m dz)_i = (q_i[m-1])_i.
 
-The class of z^-m is D^-1 p(m), kept in a per-expansion table filled on
-first use, and a class is the sum of x_(-m) [z^-m] over the poles of its
-input x. Exponents >= 0 pair to zero, so inputs are treated modulo H+
-(respectively d+): a reduction reads only the polar part of its input,
-plus the check that the input is known below z^1 (respectively z^0), and
-reduce_O(x) equals reduce_O(x.truncate(1)) exactly, raised exceptions
-included. A pole order beyond precision - 2, the window in which the
-expansion's pole-order elements are known, raises UnreducibleExponent.
+The pairings of the gap monomials form an invertible matrix
+D = (p(n_j))_j. Each quotient has one record per expansion, built on
+first use from its pairing alone: p, D, D^-1, and a table of the
+classes [z^-m] = D^-1 p(m), filled one pole order at a time. A class is
+the sum of x_(-m) [z^-m] over the poles of its input x. Exponents >= 0
+pair to zero, so inputs are treated modulo H+ (respectively d+): a
+reduction reads only the polar part of its input, plus the check that
+the input is known below z^1 (respectively z^0), and reduce_O(x) equals
+reduce_O(x.truncate(1)) exactly, raised exceptions included. A pole
+order beyond precision - 2, the window in which the expansion's
+pole-order elements are known, raises UnreducibleExponent.
 
 rho sends an operator alpha to the matrix of
 
@@ -41,16 +42,20 @@ pole beyond the basis window, rho reduces alpha(g_j) itself, so the
 matrix, and any exception, is the one the full alpha(g_j) gives.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
-with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>; that
-criterion is exported for reuse by the period layer and the CLI report.
+with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>, the D of
+H^1(O)'s record; that criterion is exported for reuse by the period
+layer and the CLI report.
+
+All of this per-expansion state, the two quotient records, the
+derivative orders and the rho table, lives in one attribute of the
+expansion, exp._hodge, that only this module reads and writes: a table
+per function that fills one, keyed by that function.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .laurent import (
-    LaurentSeries, PrecisionExhausted, invert, rational_to_str,
-    symplectic_pair)
+from .laurent import LaurentSeries, PrecisionExhausted, invert, rational_to_str
 from .linalg import det, row_echelon
 from .witt import DiffOp, diffop_apply
 
@@ -159,16 +164,40 @@ class HomMatrix(object):
                                                  self.basis_gaps)
 
 
-def _reduce(series, exp, min_trunc, what, gaps, pairing):
-    """The class of series in a quotient with the given gap basis, by
+def _table(exp, owner):
+    """The per-expansion table that the function owner fills, kept with
+    the others in exp._hodge, keyed by owner."""
+    return exp._hodge.setdefault(owner, {})
+
+
+def _quotient(exp, pairing):
+    """The record (pair, gaps, D, D^-1, classes) of the quotient whose
+    pairing is given, built once per expansion.
+
+    pairing(exp) gives pair, the pairings p(m) of z^-m with a basis of
+    the quotient's dual space, and the gap basis. D = (p(n_j))_j holds
+    the pairings of the gap monomials, and D^-1 is the right half of the
+    echelon form of [D | I]. classes maps a pole order m to the class of
+    z^-m, D^-1 p(m), filled by _reduce as it meets m.
+    """
+    records = _table(exp, _quotient)
+    if pairing not in records:
+        pair, gaps = pairing(exp)
+        d = [list(r) for r in zip(*map(pair, gaps))]
+        n = len(d)
+        rows, _ = row_echelon([r + [int(i == j) for j in range(n)]
+                               for i, r in enumerate(d)])
+        records[pairing] = (pair, gaps, d, [r[n:] for r in rows], {})
+    return records[pairing]
+
+
+def _reduce(series, exp, min_trunc, what, pairing):
+    """The class of series in the quotient with the given pairing, by
     Serre duality.
 
     Once the input's truncation is checked, the class is the sum of
-    x_(-m) [z^-m] over the input's poles m. The class of z^-m is
-    D^-1 p(m), where pairing(exp) gives p, the pairings of z^-m with a
-    basis of the dual space, and D, the pairings of the gap monomials.
-    D^-1 is the right half of the echelon form of [D | I]. The classes
-    are kept in a per-expansion table, filled one pole order at a time.
+    x_(-m) [z^-m] over the input's poles m, each [z^-m] = D^-1 p(m) read
+    off, or added to, the quotient's record (see _quotient).
     """
     if series.trunc < min_trunc:
         raise PrecisionExhausted(
@@ -179,13 +208,7 @@ def _reduce(series, exp, min_trunc, what, gaps, pairing):
         raise UnreducibleExponent(
             "%s reduction hit pole order %d, beyond the basis window %d "
             "at this precision" % (what, max(poles), exp.precision - 2))
-    if what not in exp._classes:
-        pair, d = pairing(exp)
-        n = len(d)
-        rows, _ = row_echelon([r + [int(i == j) for j in range(n)]
-                               for i, r in enumerate(d)])
-        exp._classes[what] = (pair, [r[n:] for r in rows], {})
-    pair, inverse, classes = exp._classes[what]
+    pair, gaps, _, inverse, classes = _quotient(exp, pairing)
     for m in poles.keys() - classes.keys():
         p = pair(m)
         classes[m] = [sum(a * b for a, b in zip(row, p)) for row in inverse]
@@ -195,18 +218,18 @@ def _reduce(series, exp, min_trunc, what, gaps, pairing):
 
 
 def _pairing_O(exp):
-    """p(m) = (<g_i, z^-m>)_i = (-m g_i[m])_i, and D = duality_matrix."""
+    """p(m) = (<g_i, z^-m>)_i = (-m g_i[m])_i, on the O-gaps."""
     def pair(m):
         return [-m * gi.coeff(m) for gi in exp.h10_basis]
-    return pair, _duality(exp)
+    return pair, exp.gaps_O
 
 
 def _pairing_Theta(exp):
-    """p(m) = (<q_i, z^-m d/dz>)_i = (q_i[m-1])_i, and its matrix on the
-    gap fields, over the quadratic differentials q_i: x^i dx^2/y^2 for
-    i <= 2g-2 and x^i dx^2/y for i <= g-3, in z 4 z^(-2i-6) / y^2 and
-    4 z^(-2i-6) / y. 1/y^2 is the inverse of the polynomial p(x), formed
-    once, and known below precision + 4g + 2 as (1/y)^2 would be.
+    """p(m) = (<q_i, z^-m d/dz>)_i = (q_i[m-1])_i, on the Theta-gaps, over
+    the quadratic differentials q_i: x^i dx^2/y^2 for i <= 2g-2 and
+    x^i dx^2/y for i <= g-3, in z 4 z^(-2i-6) / y^2 and 4 z^(-2i-6) / y.
+    1/y^2 is the inverse of the polynomial p(x), formed once, and known
+    below precision + 4g + 2 as (1/y)^2 would be.
     """
     g = exp.curve.genus
     inv_y2 = invert(exp._y_squared.truncate(exp.precision - 4 * g - 2))
@@ -215,36 +238,27 @@ def _pairing_Theta(exp):
         return [4 * s.coeff(m + 2 * i + 5)
                 for s, top in ((inv_y2, 2 * g - 2), (exp._inv_y, g - 3))
                 for i in range(top + 1)]
-    return pair, [list(r) for r in zip(*map(pair, exp.gaps_Theta))]
+    return pair, exp.gaps_Theta
 
 
 def reduce_O(h, exp):
     """Class of h in H^1(O) = H/(H+ + K0); needs trunc(h) >= 1."""
-    return _reduce(h, exp, 1, "H^1(O)", exp.gaps_O, _pairing_O)
+    return _reduce(h, exp, 1, "H^1(O)", _pairing_O)
 
 
 def reduce_Theta(zeta, exp):
     """Class of zeta in H^1(Theta) = d/(theta (+) d+); needs trunc >= 0."""
-    return _reduce(zeta.f, exp, 0, "H^1(Theta)", exp.gaps_Theta,
-                   _pairing_Theta)
+    return _reduce(zeta.f, exp, 0, "H^1(Theta)", _pairing_Theta)
 
 
 def duality_matrix(exp):
-    """D(i,j) = <g_i, z^-n_j> over the O-gaps; exact, invertible."""
-    return [[symplectic_pair(gi, LaurentSeries.monomial(-n))
-             for n in exp.gaps_O]
-            for gi in exp.h10_basis]
-
-
-def _duality(exp):
-    """duality_matrix(exp), built once per expansion."""
-    if exp._duality is None:
-        exp._duality = duality_matrix(exp)
-    return exp._duality
+    """D(i,j) = <g_i, z^-n_j> over the O-gaps; exact, invertible. A fresh
+    copy of the D of H^1(O)'s record."""
+    return [list(r) for r in _quotient(exp, _pairing_O)[2]]
 
 
 def duality_det(exp):
-    return det(_duality(exp))
+    return det(_quotient(exp, _pairing_O)[2])
 
 
 def _columns(op, exp):
@@ -257,9 +271,10 @@ def _derivative_orders(exp, k):
     """The smallest min_rule_order and the smallest trunc over the g_j^(k),
     read off the g_j: k derivatives kill exactly the exponents 0 <= e < k.
     """
-    orders = exp._derivative_orders.get(k)
+    table = _table(exp, _derivative_orders)
+    orders = table.get(k)
     if orders is None:
-        orders = exp._derivative_orders[k] = (
+        orders = table[k] = (
             min(min((e for e in gj.coeffs if not 0 <= e < k),
                     default=gj.trunc) for gj in exp.h10_basis) - k,
             min(gj.trunc for gj in exp.h10_basis) - k)
@@ -270,14 +285,15 @@ def _table_entry(exp, k, e):
     """rho(z^e D^k) as (d, pairs): its nonzero entries are n/d for the
     (row-major position, integer n) pairs, d the lcm of their
     denominators; formed once per expansion."""
-    entry = exp._rho_table.get((k, e))
+    table = _table(exp, _table_entry)
+    entry = table.get((k, e))
     if entry is None:
         cols = _columns(DiffOp({k: LaurentSeries.monomial(e)}), exp)
         g = len(cols)
         nonzero = [(i * g + j, x) for j, col in enumerate(cols)
                    for i, x in enumerate(col) if x]
         d = lcm(*(x.denominator for _, x in nonzero))
-        entry = exp._rho_table[k, e] = (d, tuple(
+        entry = table[k, e] = (d, tuple(
             (p, x.numerator * (d // x.denominator)) for p, x in nonzero))
     return entry
 
@@ -344,7 +360,7 @@ def rho(op, exp):
 
 def is_symmetric_hom(hom, exp):
     """Symmetry criterion: D * M symmetric <=> M is in Hom^(s)."""
-    d = _duality(exp)
+    d = _quotient(exp, _pairing_O)[2]
     m = hom.entries
     n = len(d)
     b = [[sum(d[i][k] * m[k][j] for k in range(n)) for j in range(n)]

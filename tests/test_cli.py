@@ -244,6 +244,39 @@ def test_exit_codes_for_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("which, fields, extra, message", [
+    ("nu1", None, [], "compute needs --fields"),
+    ("nu1", json.dumps({"trunc": 30, "coeffs": {"-1": "x"}}), [], None),
+    ("ell2", FIELD, [], "expected 2 field(s), got 1"),
+    ("nu2", "[1]", [], "nu2 takes a second-order representative object "
+                       "with upsilon and sym_pairs"),
+    ("nu2", json.dumps({"upsilon": {"trunc": 30, "coeffs": {}},
+                        "sym_pairs": [[]]}), [],
+     "each sym_pair must be a two-element list"),
+    ("elln", FIELD, ["--n", "2"], "--n 2 does not match 1 supplied fields"),
+])
+def test_compute_input_is_refused_before_the_expansion(
+        tmp_path, capsys, monkeypatch, which, fields, extra, message):
+    # the refusal is the one a valid curve gives, and it is given without
+    # expanding the curve, even one whose precision is below its floor
+    argv = ["compute", which, "--curve", write_curve(tmp_path)] + extra
+    if fields is not None:
+        argv += ["--fields", fields]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    if message is not None:
+        assert err == "periodjet: %s\n" % message
+
+    def refuse(curve, precision):
+        raise AssertionError("the curve was expanded")
+    monkeypatch.setattr(periodjet.cli, "expand_curve", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr() == (out, err)
+    assert main(argv + ["--precision", "11"]) == 2  # below the floor 12
+    assert capsys.readouterr() == (out, err)
+
+
 def test_json_syntax_errors_name_their_input(tmp_path, capsys):
     def refusal(what, text):
         with pytest.raises(json.JSONDecodeError) as info:
@@ -554,12 +587,13 @@ def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-def test_check_detects_tampered_expectations():
+def test_check_detects_tampered_expectations(monkeypatch):
     exp = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]), 40)
     tampered = copy.deepcopy(EXPECTED_REGRESSIONS)
     key = ("1/1", "0/1", "0/1", "0/1", "0/1", "1/1")
     tampered[key]["duality_det"] = "5/1"
-    report, code = run_checks([exp], expected=tampered)
+    monkeypatch.setattr(periodjet.cli, "EXPECTED_REGRESSIONS", tampered)
+    report, code = run_checks([exp])
     assert code == 1
     assert report["failed"] == "fixture-regressions"
     statuses = {row["name"]: row["status"] for row in report["checks"]}
@@ -631,9 +665,10 @@ def test_forked_check_report_equals_serial_on_tampered_expectations(
         monkeypatch, capsys):
     tampered = copy.deepcopy(EXPECTED_REGRESSIONS)
     tampered[("1/1", "0/1", "0/1", "0/1", "0/1", "1/1")]["gaps_O"] = [1, 2]
+    monkeypatch.setattr(periodjet.cli, "EXPECTED_REGRESSIONS", tampered)
     exp = e5_expansion()
     ((report, code), out, err) = assert_workers_agree(
-        monkeypatch, capsys, lambda: run_checks([exp], expected=tampered))
+        monkeypatch, capsys, lambda: run_checks([exp]))
     assert (code, report["failed"], out, err) == \
         (1, "fixture-regressions", "", "")
 

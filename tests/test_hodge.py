@@ -154,7 +154,7 @@ def test_reduce_Theta_span_oracle():
                     monomials + tails)
         # Serre duality: the quadratic differentials pair nondegenerately
         # with the gap fields
-        _, d = hodge._pairing_Theta(e)
+        _, _, d, _, _ = hodge._quotient(e, hodge._pairing_Theta)
         assert len(d) == len(e.gaps_Theta) == 3 * e.curve.genus - 3
         assert det(d) != 0
 
@@ -261,15 +261,21 @@ def test_internal_results_meet_the_constructor_invariant():
 
 
 def test_duality_matrix_is_built_once_per_expansion(monkeypatch):
+    # D of H^1(O) is built from the quotient's pairing, once: reductions,
+    # the symmetry test, the determinant and the public copy share it
     built = []
-    build = hodge.duality_matrix
-    monkeypatch.setattr(hodge, "duality_matrix",
+    build = hodge._pairing_O
+    monkeypatch.setattr(hodge, "_pairing_O",
                         lambda exp: built.append(exp) or build(exp))
     exp = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]), 30)
     m = rho(phi(WittElement.monomial(-1)), exp)
     for _ in range(3):
         assert is_symmetric_hom(m, exp)
         assert duality_det(exp) == -4
+        d = duality_matrix(exp)
+        assert d == [[0, 2], [2, 0]]
+        d[0][0] = 7  # a fresh copy: the record's D does not move
+    assert duality_det(exp) == -4
     assert built == [exp]
 
 

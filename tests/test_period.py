@@ -5,9 +5,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from periodjet import hodge
 from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
 from periodjet.hodge import (
-    HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom, rho)
+    HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom,
+    reduce_O, reduce_Theta, rho)
 from periodjet.laurent import INF, LaurentSeries, PrecisionExhausted, derive
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
@@ -323,7 +325,7 @@ def test_rho_table_entries_are_integer_numerators_over_their_lcm():
         for e in range(-edge - o - 1, 0):  # the first one is past the edge
             outcome(rho, DiffOp({k: LaurentSeries.monomial(e)}), exp)
     dens = []
-    for (k, e), (d, pairs) in exp._rho_table.items():
+    for (k, e), (d, pairs) in exp._hodge[hodge._table_entry].items():
         m = full_rho(DiffOp({k: LaurentSeries.monomial(e)}), exp).entries
         g = len(m)
         nonzero = {i * g + j: x for i, row in enumerate(m)
@@ -344,9 +346,10 @@ def test_rho_tables_are_per_expansion():
     assert first == full_rho(op, a)
     assert rho(op, b) == full_rho(op, b) != first
     assert rho(op, a) == first
-    assert a._rho_table is not b._rho_table
-    assert a._rho_table.keys() == b._rho_table.keys()
-    assert any(a._rho_table[key] != b._rho_table[key] for key in a._rho_table)
+    ta, tb = (x._hodge[hodge._table_entry] for x in (a, b))
+    assert ta is not tb
+    assert ta.keys() == tb.keys()
+    assert any(ta[key] != tb[key] for key in ta)
 
 
 @pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
@@ -397,6 +400,83 @@ def test_contraction_matches_full_length_reference(exp, data):
     fields.append(data.draw(field_near_threshold(exp)))
     assert outcome(ell1_n_contraction, fields, exp) == \
         outcome(full_contraction, fields, exp)
+
+
+# --- sound truncation: tail perturbation and precision monotonicity ------
+
+# each differential on three fields, as (name, function of fields and
+# expansion)
+DIFFERENTIALS = [
+    ("reduce_O", lambda fs, e: reduce_O(fs[0].f, e)),
+    ("reduce_Theta", lambda fs, e: reduce_Theta(fs[0], e)),
+    ("nu1", lambda fs, e: nu1(fs[0], e)),
+    ("ell2", lambda fs, e: ell2(fs[0], fs[1], e)),
+    ("ell2_via_lie", lambda fs, e: ell2_via_lie(fs[0], fs[1], e)),
+    ("nu2", lambda fs, e: nu2(T2Rep(fs[0], [(fs[1], fs[2])]), e)),
+    ("ell1_n", ell1_n),
+    ("ell1_n_contraction", ell1_n_contraction),
+]
+SMALL_RATIONALS = st.fractions(-4, 4, max_denominator=5)
+
+
+def truncated_fields():
+    """Three fields with poles and finite truncations, some of them known
+    too little for a differential to read."""
+    return st.lists(st.builds(
+        lambda coeffs, t: WittElement(LaurentSeries(coeffs, t)),
+        st.dictionaries(st.integers(-8, 4), SMALL_RATIONALS, min_size=1,
+                        max_size=4),
+        st.integers(-1, 12) | st.integers(13, 36)), min_size=3, max_size=3)
+
+
+def succeeded(fn, fields, exp):
+    """fn's result, or None where it refuses for want of precision."""
+    try:
+        return fn(fields, exp)
+    except (PrecisionExhausted, UnreducibleExponent):
+        return None
+
+
+def raised(field, tail):
+    """field known below trunc + len(tail), with tail in the new slots."""
+    f = field.f
+    coeffs = dict(f.coeffs)
+    coeffs.update((f.trunc + i, c) for i, c in enumerate(tail))
+    return WittElement(LaurentSeries(coeffs, f.trunc + len(tail)))
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_differentials_ignore_what_lies_beyond_the_truncation(exp, data):
+    # raising a truncation by 1-12 and filling the new slots changes no
+    # answer that was given without them
+    fields = data.draw(truncated_fields())
+    tails = data.draw(st.lists(st.lists(SMALL_RATIONALS, min_size=1,
+                                        max_size=12),
+                               min_size=3, max_size=3))
+    known = [raised(f, t) for f, t in zip(fields, tails)]
+    for name, fn in DIFFERENTIALS:
+        want = succeeded(fn, fields, exp)
+        if want is not None:
+            assert fn(known, exp) == want, name
+
+
+MONOTONE = [(e, expand_curve(e.curve, e.precision + 8)) for e in (E5, E7, ED)]
+
+
+@pytest.mark.parametrize("exp, finer", MONOTONE,
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_differentials_are_monotone_in_precision(exp, finer, data):
+    # an answer given at precision P is the one given at P + 8
+    fields = data.draw(truncated_fields())
+    for name, fn in DIFFERENTIALS:
+        want = succeeded(fn, fields, exp)
+        if want is not None:
+            assert fn(fields, finer) == want, name
 
 
 # --- higher orders ----------------------------------------------------------
