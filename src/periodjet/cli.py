@@ -16,9 +16,13 @@ wall-clock timings, which is the one non-reproducible field.
 check runs its rows on every CPU the process may use: this process runs
 one share of them and a forked child runs each other share. The report,
 its row order and its bytes but for the timings are those of a serial run,
-and so are the first failure and the exit code. Each row's "seconds" is
-timed in the process that ran it. `taskset -c 0 periodjet check` gives a
-serial run.
+and so are the first failure and the exit code. One rule gives that: a
+row that was not delivered where it was dealt (its fork failed, its child
+stopped, or it raised an exception that is not a row) runs in this
+process, in task order, after every child is read, so a row that raised
+runs a second time before its exception propagates. Each row's "seconds"
+is timed in the process that ran it. `taskset -c 0 periodjet check` gives
+a serial run.
 
 Precision resolution order: --precision flag, then the "precision" field
 of the curve file, then the PERIODJET_PRECISION environment variable,
@@ -480,15 +484,14 @@ def _run_row(task):
 
 def _run_share(tasks, share):
     """Rows of the tasks at the indices of share, run in order up to the
-    first exception that is not a row: ({index: (row, code)}, (index,
-    exception) or None)."""
+    first exception that is not a row: {index: (row, code)}."""
     done = {}
     for i in share:
         try:
             done[i] = _run_row(tasks[i])
-        except Exception as e:
-            return done, (i, e)
-    return done, None
+        except Exception:  # the row runs again in _run_tasks
+            break
+    return done
 
 
 def _shares(ntasks, workers):
@@ -517,7 +520,7 @@ def _fork_share(tasks, share):
     if pid == 0:
         try:
             os.close(r)
-            done, _ = _run_share(tasks, share)
+            done = _run_share(tasks, share)
             data = json.dumps([[i, row, code]
                                for i, (row, code) in done.items()]).encode()
             while data:
@@ -535,10 +538,12 @@ def _run_tasks(tasks):
     The tasks are dealt over one worker per CPU this process may run on;
     this process is the first worker and every other one is a forked
     child (none where os.fork is missing or fails, or where threads run,
-    which a fork could deadlock). A row a child does not deliver, because
-    it met an exception that is not a row or did not finish, is run here,
-    in task order, so the exception raised is the one the serial loop
-    meets first.
+    which a fork could deadlock). One rule recovers the rest: a task that
+    gave no row where it was dealt, because its fork failed, its child
+    stopped or it raised an exception that is not a row, runs here, in
+    task order, after every child is read. So the exception raised is the
+    one the serial loop meets first, and a task that raised runs a second
+    time before its exception propagates.
     """
     threading = sys.modules.get("threading")
     workers = min(_usable_cpus(), len(tasks))
@@ -546,33 +551,28 @@ def _run_tasks(tasks):
             threading is not None and threading.active_count() > 1):
         workers = 1
     shares = _shares(len(tasks), workers)
-    own, children = shares[0], []
+    children = []
     try:
         for share in shares[1:]:
             try:
                 children.append(_fork_share(tasks, share))
-            except OSError:  # no process to spare: run the share here
-                own = sorted(own + share)
-        done, error = _run_share(tasks, own)
+            except OSError:  # no process to spare: its rows run below
+                pass
+        done = _run_share(tasks, shares[0])
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()  # to EOF, when the child exits
             try:
                 delivered = json.loads(data)
-            except ValueError:  # cut short: its rows are run here
+            except ValueError:  # cut short: its rows run below
                 delivered = []
             done.update((i, (row, code)) for i, row, code in delivered)
     finally:
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
-    stop = len(tasks) if error is None else error[0]
-    for i in range(stop):
-        if i not in done:
-            done[i] = _run_row(tasks[i])
-    if error is not None:
-        raise error[1]
-    return [done[i] for i in range(len(tasks))]
+    return [done[i] if i in done else _run_row(tasks[i])
+            for i in range(len(tasks))]
 
 
 def run_checks(expansions):

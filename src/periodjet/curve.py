@@ -71,18 +71,15 @@ def _poly_deriv(c):
 
 def _poly_mod(a, b):
     # remainder of a by b over Q; b nonzero
-    a = list(a)
+    a = _poly_trim(list(a))
     db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _poly_trim(a):
-        a = _poly_trim(a)
-        if len(a) - 1 < db:
-            break
+    while len(a) - 1 >= db:
         q = a[-1] / lead
         shift = len(a) - 1 - db
         for i in range(len(b)):
             a[shift + i] -= q * b[i]
         a = _poly_trim(a)
-    return _poly_trim(a)
+    return a
 
 
 def _poly_gcd(a, b):

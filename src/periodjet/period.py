@@ -34,6 +34,7 @@ canonical second-order representative reproduces ell2. The coupling sign
 on the upsilon term of nu2 is forced to + by the last requirement.
 """
 
+import itertools
 from fractions import Fraction
 
 from .hodge import HomMatrix, hom_to_json, reduce_O, rho
@@ -59,33 +60,34 @@ def _hom_key(m):
             tuple(tuple(row) for row in m.entries))
 
 
+def _canonical(groups, key):
+    """The one canonical form of a list of unordered groups: each group a
+    tuple sorted by key, and the groups sorted by the keys of their
+    members."""
+    groups = [tuple(sorted(g, key=key)) for g in groups]
+    return sorted(groups, key=lambda g: [key(x) for x in g])
+
+
 class T2Rep(object):
     """A second-order tangent representative: upsilon + sum of symmetric
-    pairs (1/2)(zeta_i (x) xi_i + xi_i (x) zeta_i). Each stored pair is
-    normalized to a fixed order, the symmetrization being definitional.
+    pairs (1/2)(zeta_i (x) xi_i + xi_i (x) zeta_i). The pairs are stored
+    in canonical form, the symmetrization being definitional.
     """
 
     def __init__(self, upsilon, sym_pairs=()):
         if not isinstance(upsilon, WittElement):
             raise ValueError("upsilon must be a WittElement")
-        pairs = []
-        for a, b in sym_pairs:
-            if not isinstance(a, WittElement) or not isinstance(b, WittElement):
-                raise ValueError("sym_pairs must hold WittElement pairs")
-            if _series_key(b.f) < _series_key(a.f):
-                a, b = b, a
-            pairs.append((a, b))
+        pairs = [(a, b) for a, b in sym_pairs]
+        if not all(isinstance(x, WittElement) for p in pairs for x in p):
+            raise ValueError("sym_pairs must hold WittElement pairs")
         self.upsilon = upsilon
-        self.sym_pairs = pairs
+        self.sym_pairs = _canonical(pairs, lambda x: _series_key(x.f))
 
     def __eq__(self, other):
         if not isinstance(other, T2Rep):
             return NotImplemented
         return self.upsilon == other.upsilon and \
-            sorted(self.sym_pairs, key=lambda p: (_series_key(p[0].f),
-                                                  _series_key(p[1].f))) == \
-            sorted(other.sym_pairs, key=lambda p: (_series_key(p[0].f),
-                                                   _series_key(p[1].f)))
+            self.sym_pairs == other.sym_pairs
 
     def words(self):
         """The field words (c, [f1, ..., fn]) whose operators
@@ -112,14 +114,12 @@ class JetImage(object):
         self.linear = linear
         self.quadratic = [(a, b) for a, b in quadratic]
 
-    def _normal_quadratic(self):
-        return sorted(tuple(sorted(p, key=_hom_key)) for p in self.quadratic)
-
     def __eq__(self, other):
         if not isinstance(other, JetImage):
             return NotImplemented
         return self.linear == other.linear and \
-            self._normal_quadratic() == other._normal_quadratic()
+            _canonical(self.quadratic, _hom_key) == \
+            _canonical(other.quadratic, _hom_key)
 
     def __repr__(self):
         return "JetImage(%r, %r)" % (self.linear, self.quadratic)
@@ -131,10 +131,7 @@ class SymProductSum(object):
     sums compare equal regardless of construction order."""
 
     def __init__(self, terms, interpretation=None):
-        canon = sorted(
-            (tuple(sorted(t, key=_hom_key)) for t in terms),
-            key=lambda t: tuple(_hom_key(m) for m in t))
-        self.terms = [tuple(t) for t in canon]
+        self.terms = _canonical(terms, _hom_key)
         self.interpretation = interpretation
 
     def __eq__(self, other):
@@ -292,28 +289,13 @@ def ell1_n_contraction(fields, exp):
     return _contraction([((-1) ** _order(fields), fields)], exp)
 
 
-def _set_partitions(indices, k):
-    """All partitions of the index list into exactly k nonempty blocks;
-    blocks keep the original element order. Each partition appears once
-    because blocks are created in order of their smallest element."""
-    n = len(indices)
-
-    def place(i, blocks):
-        if i == n:
-            if len(blocks) == k:
-                yield [list(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(indices[i])
-            yield from place(i + 1, blocks)
-            b.pop()
-        if len(blocks) < k:
-            blocks.append([indices[i]])
-            yield from place(i + 1, blocks)
-            blocks.pop()
-
-    if 1 <= k <= n:
-        yield from place(0, [])
+def _set_partitions(n, k):
+    """All partitions of range(n) into exactly k nonempty blocks, each
+    once, every block ascending: the labellings of 0..n-1 by block
+    numbers whose labels first appear in the order 0, 1, .., k-1."""
+    for labels in itertools.product(range(k), repeat=n):
+        if labels and list(dict.fromkeys(labels)) == list(range(k)):
+            yield [[i for i in range(n) if labels[i] == b] for b in range(k)]
 
 
 def ell_k_n(fields, k, exp):
@@ -334,7 +316,7 @@ def ell_k_n(fields, k, exp):
     if k == 1:
         return ell1_n(fields, exp)
     terms = []
-    for blocks in _set_partitions(list(range(n)), k):
+    for blocks in _set_partitions(n, k):
         factors = [ell1_n([fields[i] for i in block], exp)
                    for block in blocks]
         terms.append(tuple(factors))

@@ -740,6 +740,49 @@ def test_failed_fork_runs_the_checks_here(tmp_path, monkeypatch, capsys):
     assert serial[0] == 0
 
 
+def test_a_row_that_raised_in_this_process_runs_again_here(
+        tmp_path, monkeypatch, capsys):
+    # the row raises only on its first call, in this process's share:
+    # its second run gives the row, so the report is the serial one
+    argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
+    serial, _ = run_on_workers(monkeypatch, capsys, 1, lambda: main(argv))
+    checks = list(CURVE_CHECKS)
+    j = LATER_PARENT_ROW - len(GLOBAL_CHECKS)
+    name, check = checks[j]
+    calls = []
+
+    def first_call_raises(*args):
+        calls.append(os.getpid())
+        if len(calls) == 1:
+            raise RuntimeError("first call")
+        check(*args)
+
+    checks[j] = (name, first_call_raises)
+    monkeypatch.setattr(periodjet.cli, "CURVE_CHECKS", checks)
+    for workers in (1, 2):
+        calls.clear()
+        assert run_on_workers(monkeypatch, capsys, workers,
+                              lambda: main(argv)) == (serial, workers - 1)
+        assert calls == [os.getpid()] * 2
+    assert serial[0] == 0
+
+
+def test_failed_fork_with_a_raising_row_gives_the_serial_error(
+        tmp_path, monkeypatch, capsys):
+    patch_rows(monkeypatch, {CHILD_ROW: RuntimeError("child\nrow")})
+    argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
+    serial, _ = run_on_workers(monkeypatch, capsys, 1, lambda: main(argv))
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_on_workers(monkeypatch, capsys, 2, lambda: main(argv)) == \
+        (serial, 0)
+    assert serial == (5, "", "periodjet: internal error: RuntimeError: "
+                             "child row\n")
+
+
 def test_rows_a_child_delivers_are_not_run_again_here(monkeypatch, capsys):
     ran_here = []
     checks = list(GLOBAL_CHECKS)

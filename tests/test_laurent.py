@@ -129,6 +129,24 @@ def test_invert_is_right_inverse():
         assert prod == one
 
 
+NONZERO_RATIONALS = st.fractions(-9, 9, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(order=st.integers(-6, 6), stride=st.integers(1, 3),
+       lead=NONZERO_RATIONALS,
+       rest=st.lists(st.fractions(-9, 9, max_denominator=7), max_size=6),
+       length=st.integers(1, 20))
+def test_invert_times_f_is_one_to_its_truncation(order, stride, lead, rest,
+                                                  length):
+    # f = lead z^order + terms every stride exponents, known below
+    # order + length
+    coeffs = {order + stride * j: c for j, c in enumerate(rest, 1)}
+    coeffs[order] = lead
+    f = LaurentSeries(coeffs, order + length)
+    assert invert(f) * f == LaurentSeries.one(f.trunc - f.order())
+
+
 def test_invert_errors():
     with pytest.raises(ZeroSeries):
         invert(LaurentSeries.zero(5))

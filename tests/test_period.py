@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -13,7 +14,7 @@ from periodjet.hodge import (
 from periodjet.laurent import INF, LaurentSeries, PrecisionExhausted, derive
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
-    canonical_second_rep, d2Phi, ell2, ell2_via_lie, ell1_n,
+    _set_partitions, canonical_second_rep, d2Phi, ell2, ell2_via_lie, ell1_n,
     ell1_n_contraction, ell_k_n, fundamental_form_II, in_nu1_image,
     jet_to_json, lie_on_form, nu1, nu1_image_generators, nu2,
     sym_sum_to_json, t2rep_from_json)
@@ -167,6 +168,20 @@ def test_d2Phi_split():
         assert jet.linear == ell2(f1, f2, exp)
         assert jet == JetImage(ell2(f1, f2, exp),
                                [(nu1(f2, exp), nu1(f1, exp))])
+
+
+def test_jet_image_equality_ignores_the_order_of_pairs_and_factors():
+    a, b, c = (HomMatrix([[i, 0], [0, 1]], [1, 3]) for i in (1, 2, 3))
+    assert JetImage(a, [(a, b), (c, a)]) == JetImage(a, [(a, c), (b, a)])
+    pairs = [(a, b), (c, a), (b, b)]
+    for order in itertools.permutations(pairs):
+        for flips in itertools.product([False, True], repeat=len(pairs)):
+            quadratic = [(y, x) if flip else (x, y)
+                         for (x, y), flip in zip(order, flips)]
+            assert JetImage(a, quadratic) == JetImage(a, pairs)
+    assert JetImage(a, [(a, b), (c, a)]) != JetImage(a, [(a, c), (b, b)])
+    assert JetImage(a, [(a, b)]) != JetImage(a, [(a, b), (a, b)])
+    assert JetImage(a, [(a, b)]) != JetImage(b, [(a, b)])
 
 
 def test_fundamental_form():
@@ -464,6 +479,7 @@ def test_differentials_ignore_what_lies_beyond_the_truncation(exp, data):
 
 
 MONOTONE = [(e, expand_curve(e.curve, e.precision + 8)) for e in (E5, E7, ED)]
+DOUBLED = [(e, expand_curve(e.curve, 2 * e.precision)) for e in (E5, E7, ED)]
 
 
 @pytest.mark.parametrize("exp, finer", MONOTONE,
@@ -472,6 +488,19 @@ MONOTONE = [(e, expand_curve(e.curve, e.precision + 8)) for e in (E5, E7, ED)]
 @given(data=st.data())
 def test_differentials_are_monotone_in_precision(exp, finer, data):
     # an answer given at precision P is the one given at P + 8
+    fields = data.draw(truncated_fields())
+    for name, fn in DIFFERENTIALS:
+        want = succeeded(fn, fields, exp)
+        if want is not None:
+            assert fn(fields, finer) == want, name
+
+
+@pytest.mark.parametrize("exp, finer", DOUBLED,
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_differentials_are_monotone_when_precision_doubles(exp, finer, data):
+    # an answer given at precision P is the one given at 2P
     fields = data.draw(truncated_fields())
     for name, fn in DIFFERENTIALS:
         want = succeeded(fn, fields, exp)
@@ -566,6 +595,29 @@ def test_ell_k_n_middle_orders():
         ell_k_n(f, 0, E5)
     with pytest.raises(ValueError):
         ell_k_n(f, 4, E5)
+
+
+def stirling2(n, k):
+    """The number of partitions of an n-set into k nonempty blocks."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_set_partitions_are_each_partition_once(n):
+    for k in range(7):
+        partitions = list(_set_partitions(n, k))
+        want = stirling2(n, k) if 1 <= k <= n else 0
+        assert len(partitions) == want, (n, k)
+        assert len({tuple(map(tuple, p)) for p in partitions}) == want
+        for blocks in partitions:
+            assert len(blocks) == k
+            assert sorted(i for b in blocks for i in b) == list(range(n))
+            assert all(b and b == sorted(b) for b in blocks)
+            # blocks in the order of their smallest element, so equal
+            # partitions are equal lists
+            assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
 
 
 # --- serialization ----------------------------------------------------------
