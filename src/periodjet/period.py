@@ -38,7 +38,7 @@ import itertools
 from fractions import Fraction
 
 from .hodge import HomMatrix, hom_to_json, reduce_O, rho
-from .laurent import LaurentSeries, derive, product_below
+from .laurent import INF, LaurentSeries, derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
 from .witt import WittElement, diffop_compose, phi, witt_bracket
@@ -251,12 +251,27 @@ def ell1_n(fields, exp):
     """Order-n linear differential, operator route:
 
         (-1)^(n-1) rho( phi(zeta_n) o ... o phi(zeta_1) ).
+
+    rho reads each coefficient a_k of the composition only below
+    z^(1 - ord g_j^(k)), ord g_j^(k) being the smallest over j, and that
+    order is >= 0: the g_j have no exponent below 1 and are known below
+    precision + 1, beyond n >= k. So the last composition is formed only
+    below z^1 (see witt.diffop_compose). Formed below z^w, the
+    composition with phi(zeta_s) reads its right factor only below
+    z^(w - ord zeta_s + 1), and that factor is formed below this bound in
+    turn. After an exact-zero field the composition is zero, and nothing
+    before it is read.
     """
     n = _order(fields)
+    bounds = [1]
+    for zeta in reversed(fields[2:]):
+        o = zeta.f.min_rule_order()
+        bounds.append(bounds[-1] - o + 1 if o < INF else bounds[-1])
     op = phi(fields[0])
-    for zeta in fields[1:]:
-        op = diffop_compose(phi(zeta), op)
-    return rho(op, exp).scaled((-1) ** (n - 1))
+    for zeta, below in zip(fields[1:], reversed(bounds)):
+        op = diffop_compose(phi(zeta), op, below)
+    m = rho(op, exp)
+    return m if n % 2 else m.scaled(-1)
 
 
 def _contraction(words, exp):

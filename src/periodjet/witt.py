@@ -159,23 +159,34 @@ def diffop_apply(op, g, below=INF):
     return out
 
 
-def diffop_compose(w, v):
+def diffop_compose(w, v, below=INF):
     """The operator g -> w(v(g)), expanded by the Leibniz rule.
 
     a_k D^k (b_m D^m) = a_k sum_{i=0..k} C(k,i) b_m^(k-i) D^(m+i), so order
     m+i collects a_k * C(k,i) * derive^{k-i}(b_m) over all (k, m).
+
+    With a finite bound, only the terms below z^below are formed, and the
+    result is the full composition with every coefficient truncated at
+    below; an order whose full coefficient is exact zero, and so absent,
+    may then be stored as a zero known below z^below. The product with
+    a_k reads b_m^(k-i) only below z^(below - ord a_k), that is b_m below
+    z^(below - ord a_k + k), so b_m is truncated there before it is
+    differentiated (see laurent.product_below).
     """
     acc = {}
     for k, a in w.terms.items():
         for m, b in v.terms.items():
-            db = b
-            derivatives = [db]
+            if below < INF:
+                b = b.truncate(below - a.min_rule_order() + k)
+            derivatives = [b]
             for _ in range(k):
-                db = derive(db)
-                derivatives.append(db)
+                derivatives.append(derive(derivatives[-1]))
             # derivatives[j] = b^(j)
             for i in range(k + 1):
-                piece = (a * derivatives[k - i]).scaled(comb(k, i))
+                piece = product_below(a, derivatives[k - i], below)
+                c = comb(k, i)
+                if c != 1:
+                    piece = piece.scaled(c)
                 o = m + i
                 acc[o] = acc[o] + piece if o in acc else piece
     return DiffOp(acc)

@@ -1,14 +1,14 @@
 """Plain references that the fast kernels are tested against: Fraction
-recurrences for the integer square root, full-length products for the
-routes that form only the coefficients a reduction reads, and the residue
-pairing read off a full product."""
+recurrences for the integer square root, full-length products and
+compositions for the routes that form only the coefficients a reduction
+reads, and the residue pairing read off a full product."""
 
 from fractions import Fraction
 
 from periodjet.hodge import HomMatrix, reduce_O
 from periodjet.laurent import LaurentSeries, derive, residue
 from periodjet.period import lie_on_form
-from periodjet.witt import diffop_apply
+from periodjet.witt import diffop_apply, diffop_compose, phi
 
 
 def fraction_sqrt_unit(f):
@@ -62,6 +62,15 @@ def full_rho(op, exp):
     """rho reducing op(g_j) formed to the full precision."""
     return _columns([[-c for c in reduce_O(diffop_apply(op, gj), exp).coords]
                      for gj in exp.h10_basis], exp.gaps_O)
+
+
+def full_operator_route(fields, exp):
+    """ell1_n with every composition and every column formed to the full
+    precision."""
+    op = phi(fields[0])
+    for zeta in fields[1:]:
+        op = diffop_compose(phi(zeta), op)
+    return full_rho(op, exp).scaled((-1) ** (len(fields) - 1))
 
 
 def full_contraction(fields, exp):

@@ -6,12 +6,14 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodjet import hodge
-from periodjet.curve import HyperellipticCurve, default_precision, expand_curve
+from periodjet import hodge, period, witt
+from periodjet.curve import (
+    HyperellipticCurve, default_precision, expand_curve, precision_floor)
 from periodjet.hodge import (
     HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom,
     reduce_O, reduce_Theta, rho)
-from periodjet.laurent import INF, LaurentSeries, PrecisionExhausted, derive
+from periodjet.laurent import (
+    INF, LaurentSeries, PrecisionExhausted, derive, product_below)
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
     _set_partitions, canonical_second_rep, d2Phi, ell2, ell2_via_lie, ell1_n,
@@ -21,7 +23,8 @@ from periodjet.period import (
 from periodjet.witt import (
     DiffOp, WittElement, diffop_compose, phi, witt_bracket)
 
-from series_reference import full_contraction, full_nu2, full_rho
+from series_reference import (
+    full_contraction, full_nu2, full_operator_route, full_rho)
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -279,6 +282,20 @@ def test_rho_matches_full_length_reference(exp, data):
                                     max_size=len(fields), unique=True))
         op = DiffOp({k: zeta.f for k, zeta in zip(orders, fields)})
     assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
+    # rho reads no coefficient at or above z^1, which ell1_n relies on
+    below_one = DiffOp({k: a.truncate(1) for k, a in op.terms.items()})
+    assert outcome(rho, below_one, exp) == outcome(full_rho, op, exp)
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ell1_n_matches_full_length_reference(exp, data):
+    fields = data.draw(st.lists(field_near_threshold(exp), min_size=1,
+                                max_size=DEFAULT_MAX_ORDER))
+    assert outcome(ell1_n, fields, exp) == \
+        outcome(full_operator_route, fields, exp)
 
 
 def derivative_bounds(exp, k):
@@ -290,6 +307,17 @@ def derivative_bounds(exp, k):
         derived.append(g)
     return (min(g.min_rule_order() for g in derived),
             min(g.trunc for g in derived))
+
+
+def test_derivatives_of_the_g_j_have_no_pole():
+    # rho reads a coefficient a_k only below z^(1 - ord g_j^(k)), so below
+    # z^1 for every order a composition of DEFAULT_MAX_ORDER fields has,
+    # also at the precision floor
+    floor = [expand_curve(HyperellipticCurve([1] + [0] * (2 * g) + [1]),
+                          precision_floor(g)) for g in (2, 3, 4)]
+    for exp in [E5, E7, ED] + floor:
+        for k in range(1, DEFAULT_MAX_ORDER + 1):
+            assert derivative_bounds(exp, k)[0] >= 0
 
 
 def table_edge_cases(exp):
@@ -544,11 +572,52 @@ def test_ell1_n_routes_agree_on_a_dense_rational_curve():
             assert ell1_n(fields, ED) == ell1_n_contraction(fields, ED)
 
 
+def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
+    # the products witt forms, and the operator handed to rho; the
+    # stand-in for rho forms none, so each product is one of a composition
+    products, handed = [], []
+
+    def recorded_product(a, b, cap):
+        products.append((a, b, cap))
+        return product_below(a, b, cap)
+
+    def recorded_rho(op, exp):
+        handed.append(op)
+        return HomMatrix([], [])
+    monkeypatch.setattr(witt, "product_below", recorded_product)
+    monkeypatch.setattr(period, "rho", recorded_rho)
+    rng = random.Random(71)
+    for n in (2, 3, 4):
+        for _ in range(4):
+            fields = [random_field(rng) for _ in range(n)]
+            del products[:], handed[:]
+            ell1_n(fields, E5)
+            # the last composition is formed below z^1, and the one before
+            # the composition with phi(zeta) below w - ord zeta + 1
+            bounds = [1]
+            for zeta in reversed(fields[2:]):
+                bounds.append(bounds[-1] - zeta.f.order() + 1)
+            assert products
+            assert {cap for _, _, cap in products} == set(bounds)
+            # a product reads b, or b', only below z^(cap - ord a + 1)
+            assert all(b.trunc <= cap - a.order() + 1
+                       for a, b, cap in products)
+            [op] = handed
+            assert all(e < 1 for a in op.terms.values() for e in a.coeffs)
+
+
 def test_ell1_n_multilinear():
     rng = random.Random(59)
     a, b, c, d = (random_field(rng, max_terms=2) for _ in range(4))
     assert ell1_n([a + b, c, d], E5) == \
         ell1_n([a, c, d], E5) + ell1_n([b, c, d], E5)
+    # an exact-zero field in any slot, also one that bounds the
+    # compositions before it, gives zero
+    zero = WittElement(LaurentSeries.zero())
+    for i in range(4):
+        fields = [a, b, c, d]
+        fields[i] = zero
+        assert ell1_n(fields, E5).is_zero()
 
 
 def test_order_guard():

@@ -178,6 +178,18 @@ def test_sp_witness_matches_the_pairing(op, radius):
     assert got == _witness_outcome(sp_witness_by_pairing, op, radius)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(witness_operators(), witness_operators(), st.integers(-14, 16))
+def test_bounded_compose_is_the_truncated_full_composition(w, v, below):
+    bounded = diffop_compose(w, v, below)
+    full = diffop_compose(w, v)
+    # an order whose full coefficient is exact zero is absent from it
+    zero = LaurentSeries.zero()
+    orders = bounded.terms.keys() | full.terms.keys()
+    assert {k: bounded.terms.get(k, zero) for k in orders} == \
+        {k: full.terms.get(k, zero).truncate(below) for k in orders}
+
+
 def test_diffop_constructor_invariants():
     with pytest.raises(ValueError):
         DiffOp({0: LaurentSeries.one()})
