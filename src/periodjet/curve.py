@@ -18,8 +18,12 @@ everything the reduction and period-map layers consume:
                  gaps below that cutoff number exactly g.
     theta_basis  vector fields x^a y^b * v0, v0 = (y/x') d/dz, one per
                  realized pole order up to 6g-2; gaps number exactly 3g-3.
-    h10_basis    integrals g_i of the holomorphic forms x^(i-1) dx / y,
-                 i = 1..g, each of positive order.
+    h10_forms    the holomorphic forms x^(i-1) dx / y = h_i dz, i = 1..g,
+                 as the series h_i = g_i'.
+    h10_basis    their integrals g_i, each of positive order.
+
+The derivatives h_i' are formed on first use (h10_form_derivatives), for
+the Lie derivatives of the contraction route.
 
 Pole orders are arithmetic here: a function x^a y^b has pole order
 2a + (2g+1)b, a field x^a y^b v0 has 2a + (2g+1)b + (2g-2).
@@ -158,9 +162,13 @@ class CurveExpansion(object):
     p(x) = y^2 is kept, and the odd fields x^a y v0 are built from it
     (see element_of_pole_Theta).
 
+    The holomorphic forms h_i = g_i' are kept in h10_forms, next to
+    their integrals g_i in h10_basis.
+
     Immutable after construction apart from internal caches, filled on
-    first use: pole-order elements keyed by pole order, and one slot,
-    _hodge, that the hodge layer keeps its own state in. Raises
+    first use: pole-order elements keyed by pole order, the derivatives
+    h_i' of the forms, and one slot, _hodge, that the hodge layer keeps
+    its own state in. Raises
     GapCountMismatch if the gaps below the basis cutoffs do not number g
     and 3g-3.
     """
@@ -189,9 +197,10 @@ class CurveExpansion(object):
 
         self._o_cache = {}
         self._theta_cache = {}
+        self._form_derivatives = None
         self._hodge = {}  # the hodge layer's own state
 
-        self.h10_basis = holomorphic_integrals(self)
+        self.h10_forms, self.h10_basis = holomorphic_integrals(self)
 
         self.k0_basis, self.gaps_O = _basis_and_gaps(
             self.element_of_pole_O, 4 * g + 2)
@@ -211,6 +220,12 @@ class CurveExpansion(object):
         if r >= 0 and r % 2 == 0:
             return r // 2, 1
         return None
+
+    def h10_form_derivatives(self):
+        """The derivatives h_i' of the forms h10_forms, formed once."""
+        if self._form_derivatives is None:
+            self._form_derivatives = [derive(h) for h in self.h10_forms]
+        return self._form_derivatives
 
     def element_of_pole_O(self, m):
         """The function x^a y^b - const of pole order m >= 1, or None.
@@ -268,17 +283,19 @@ def expand_curve(curve, precision):
 
 
 def holomorphic_integrals(exp):
-    """Integrals g_i of x^(i-1) dx / y, i = 1..genus, each of order
-    2(g-i)+1 > 0. The integrands only have even exponents, so the residue
-    precondition of integrate() holds automatically.
+    """The forms x^(i-1) dx / y = h_i dz, i = 1..genus, and their
+    integrals g_i, each of order 2(g-i)+1 > 0, as two lists (h_i), (g_i).
+    The integrands h_i only have even exponents, so the residue
+    precondition of integrate() holds automatically, and derive(g_i) is
+    h_i in coefficients and truncation.
     """
     dx = derive(exp.x_series)
-    out = []
+    forms = []
     xpow = LaurentSeries.one()
     for _ in range(exp.curve.genus):
-        out.append(integrate(xpow * dx * exp._inv_y))
+        forms.append(xpow * dx * exp._inv_y)
         xpow = xpow * exp.x_series
-    return out
+    return forms, [integrate(h) for h in forms]
 
 
 def curve_to_json(curve, precision):

@@ -26,6 +26,7 @@ LaurentSeries._trusted() from fields the operation has just formed, which
 already meet the constructor's invariant, so they are not checked again.
 """
 
+import bisect
 import math
 import operator
 import re
@@ -296,9 +297,30 @@ def product_below(a, b, cap):
     No term of b at or above w = cap - a.min_rule_order() is read, and
     b.truncate(w) gives the same result: its truncation and order can
     only change the min-rule in terms that are >= cap anyway.
+
+    When one factor has a single stored term c z^e, the product is the
+    other factor shifted by e and scaled by c, below t. That reads and
+    forms exactly the terms the walk does, in the same ascending order,
+    with no Fraction arithmetic when c = 1 and only negations when
+    c = -1.
     """
     t = min(a.trunc + b.min_rule_order(), b.trunc + a.min_rule_order(),
             _checked_trunc(cap))
+    if len(a.coeffs) == 1:
+        a, b = b, a
+    if len(b.coeffs) == 1:
+        (e2, c2), = b.coeffs.items()
+        limit = t - e2
+        terms = sorted(a.coeffs.items())
+        # (limit,) sorts before every (limit, c): the cut is at e1 >= limit
+        terms = terms[:bisect.bisect_left(terms, (limit,))]
+        if c2 == 1:
+            out = {e1 + e2: c1 for e1, c1 in terms}
+        elif c2 == -1:
+            out = {e1 + e2: -c1 for e1, c1 in terms}
+        else:
+            out = {e1 + e2: c1 * c2 for e1, c1 in terms}
+        return LaurentSeries._trusted(out, t)
     out = {}
     if a.coeffs and b.coeffs:
         terms_b = sorted(b.coeffs.items())

@@ -2,7 +2,8 @@
 
 Conventions. A tangent direction to the deformation base is named by a
 Witt lift zeta = f d/dz; the holomorphic forms are omega_j = dg_j = h dz
-with h = derive(g_j); contraction and Lie derivative act on series by
+with h = derive(g_j), kept by the expansion as exp.h10_forms; contraction
+and Lie derivative act on series by
 
     zeta -| (h dz)   =  f h,
     L_zeta (h dz)    =  (f h' + f' h) dz.
@@ -280,16 +281,21 @@ def _contraction(words, exp):
 
         sum_w c [ fn -| L_f(n-1) ... L_f1 omega_j ]
 
-    once. Each contraction goes straight into reduce_O, so it is formed
-    only below z^1; the Lie derivatives stay full-length.
+    once. Each column starts from the expansion's form h_j = g_j' and its
+    derivative h_j', formed once per expansion, so the first Lie
+    derivative f1 h_j' + f1' h_j derives only the field. Each contraction
+    goes straight into reduce_O, so it is formed only below z^1; the Lie
+    derivatives stay full-length.
     """
     cols = []
-    for gj in exp.h10_basis:
-        h = derive(gj)
+    for h, dh in zip(exp.h10_forms, exp.h10_form_derivatives()):
         total = LaurentSeries.zero()
         for c, fields in words:
             form = h
-            for zeta in fields[:-1]:
+            if len(fields) > 1:
+                f1 = fields[0].f
+                form = f1 * dh + derive(f1) * h
+            for zeta in fields[1:-1]:
                 form = lie_on_form(zeta, form)
             total = total + product_below(fields[-1].f, form, 1).scaled(c)
         cols.append(reduce_O(total, exp).coords)

@@ -7,9 +7,11 @@ from periodjet.laurent import (
     LaurentSeries, derive, integrate, invert, symplectic_pair)
 from periodjet.curve import (
     CurveExpansion, GapCountMismatch, HyperellipticCurve, curve_from_json,
-    curve_to_json, default_precision, expand_curve, holomorphic_integrals)
+    curve_to_json, default_precision, expand_curve, holomorphic_integrals,
+    precision_floor)
 
 from series_reference import canon, fraction_sqrt_unit
+from test_period import dense_expansion
 
 C5 = HyperellipticCurve([1, 0, 0, 0, 0, 1])          # y^2 = x^5 + 1
 C7 = HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1])   # y^2 = x^7 - x + 1
@@ -80,11 +82,23 @@ def test_holomorphic_integrals_fixture():
     assert g1.coeff(13) == Fraction(1, 13)
     assert g2.order() == 1 and g2.coeff(1) == -2
     assert g2.coeff(11) == Fraction(1, 11)
-    assert holomorphic_integrals(e) == e.h10_basis
+    assert holomorphic_integrals(e) == (e.h10_forms, e.h10_basis)
     e3 = exp7()
     assert [s.order() for s in e3.h10_basis] == [5, 3, 1]
     for i, s in enumerate(e3.h10_basis):
         assert s.trunc == e3.precision + 2 * 3 - 2 * (i + 1) + 1
+
+
+def test_kept_forms_are_the_derivatives_of_the_g_i():
+    # the contraction route starts from h_i and h_i', not from derive(g_i)
+    floor = [expand_curve(c, precision_floor(c.genus)) for c in (C5, C7)]
+    for e in [exp5(), exp7(), dense_expansion(61)] + floor:
+        assert len(e.h10_forms) == len(e.h10_basis) == e.curve.genus
+        for h, dh, g in zip(e.h10_forms, e.h10_form_derivatives(),
+                            e.h10_basis):
+            assert canon(h) == canon(derive(g))
+            assert canon(dh) == canon(derive(derive(g)))
+        assert e.h10_form_derivatives() is e.h10_form_derivatives()
 
 
 def test_gap_sequences():

@@ -327,6 +327,34 @@ def test_internal_results_meet_the_constructor_invariant(a, b, c, cut, k):
             {e: v * unit for e, v in a.coeffs.items()}, a.trunc))
 
 
+@st.composite
+def one_term_series(draw):
+    """c z^e + O(z^trunc), c drawn from 1, -1 and general rationals: the
+    one-term factors of product_below that skip all Fraction arithmetic,
+    or all but negation. A truncation at or below e leaves a visible
+    zero."""
+    c = draw(st.one_of(
+        st.sampled_from([Fraction(1), Fraction(-1)]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7)
+        .filter(bool)))
+    trunc = draw(st.one_of(st.just(INF), st.integers(-10, 12)))
+    return LaurentSeries({draw(st.integers(-8, 8)): c}, trunc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(one_term_series(), one_term_series(), truncated_series(),
+       st.one_of(st.just(INF), st.integers(-14, 14)))
+def test_product_below_with_a_one_term_factor(m, m2, other, cap):
+    # the one-term factor on the left, on the right, and on both sides
+    for a, b in ((m, other), (other, m), (m, m2)):
+        full = full_product(a, b)
+        for r, want in ((product_below(a, b, cap), full.truncate(cap)),
+                        (a * b, full)):
+            assert canon(r) == canon(want)
+            assert_constructor_invariant(r)
+            assert list(r.coeffs) == sorted(r.coeffs)  # as the walk forms
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(unit_series())
 def test_sqrt_results_meet_the_constructor_invariant(f):

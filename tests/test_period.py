@@ -161,6 +161,28 @@ def test_lie_on_form_product_rule():
     assert f2.f * lie_on_form(f1, h) == f2.f * derive(f1.f * h)
 
 
+def test_contraction_route_derives_no_form_after_the_first_call(
+        monkeypatch):
+    # the columns start from the expansion's h_j and h_j': once they are
+    # formed, only the fields are derived, never a series as long as a g_j
+    rng = random.Random(29)
+    for exp in (E5, E7, ED):
+        f1, f2 = random_field(rng), random_field(rng)
+        rep = canonical_second_rep(f1, f2)
+        ell2_via_lie(f1, f2, exp)
+        lengths = []
+
+        def counting_derive(f):
+            lengths.append(len(f.coeffs))
+            return derive(f)
+        monkeypatch.setattr(period, "derive", counting_derive)
+        ell2_via_lie(f1, f2, exp)
+        nu2(rep, exp)
+        monkeypatch.undo()
+        assert lengths
+        assert max(lengths) < min(len(g.coeffs) for g in exp.h10_basis)
+
+
 # --- full second jet and second fundamental form ---------------------------
 
 def test_d2Phi_split():
