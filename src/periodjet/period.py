@@ -268,11 +268,12 @@ def ell1_n(fields, exp):
     for zeta in reversed(fields[2:]):
         o = zeta.f.min_rule_order()
         bounds.append(bounds[-1] - o + 1 if o < INF else bounds[-1])
-    op = phi(fields[0])
+    # the sign rides on the first field: negating it keeps every order
+    # and truncation, so the refusals are those of the unsigned operator
+    op = phi(fields[0] if n % 2 else -fields[0])
     for zeta, below in zip(fields[1:], reversed(bounds)):
         op = diffop_compose(phi(zeta), op, below)
-    m = rho(op, exp)
-    return m if n % 2 else m.scaled(-1)
+    return rho(op, exp)
 
 
 def _contraction(words, exp):

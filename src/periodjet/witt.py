@@ -19,9 +19,15 @@ certificate, not a proof of membership in sp(H'). Every phi-image passes
 (for x, y in H and alpha = phi(f d/dz): <alpha(x),y> - <alpha(y),x> =
 Res(f x'y' + x(fy')') = Res (xfy')' = 0), while the genuinely
 non-symplectic second derivative g -> g'' fails already at radius 4.
+
+diffop_compose, the kernel of the operator route (period.ell1_n), sums
+its Leibniz pieces on integer numerators and normalizes one Fraction per
+coefficient; diffop_apply and the contraction route keep Fraction
+products.
 """
 
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 from .laurent import (
     INF, LaurentSeries, _require_residue, derive, product_below)
@@ -159,6 +165,82 @@ def diffop_apply(op, g, below=INF):
     return out
 
 
+class _Numerators(object):
+    """A factor of diffop_compose as integers over one denominator: its
+    stored terms as (e, n) in ascending exponent, the coefficient at z^e
+    being n/den, with den the lcm of the coefficients' denominators, and
+    its truncation."""
+
+    __slots__ = ("den", "terms", "trunc")
+
+    def __init__(self, den, terms, trunc):
+        self.den, self.terms, self.trunc = den, terms, trunc
+
+    @classmethod
+    def of(cls, s):
+        terms = sorted(s.coeffs.items())
+        den = lcm(*[c.denominator for _, c in terms])
+        return cls(den, [(e, c.numerator * (den // c.denominator))
+                         for e, c in terms], s.trunc)
+
+    def derive(self):
+        """The derivative over the same denominator."""
+        return _Numerators(self.den, [(e - 1, n * e) for e, n in self.terms
+                                      if e], self.trunc - 1)
+
+    def min_rule_order(self):
+        return self.terms[0][0] if self.terms else self.trunc
+
+
+def _sum_below(pieces, cap):
+    """sum c * a * b over the pieces (c, a, b), truncated at cap, as adding
+    the products as series gives it: the truncation is the smallest of
+    cap and the pieces' min-rule truncations, and sums that cancel to
+    zero are dropped.
+
+    A piece of LaurentSeries is formed by product_below, where a one-term
+    factor is a shift. The pieces of _Numerators are summed as ints over
+    one denominator, the lcm of their a.den * b.den, below the smallest
+    of cap and their min-rule truncations, each walk stopping where
+    product_below's would, and one Fraction is normalized per
+    coefficient.
+    """
+    parts, on_ints = [], []
+    for c, a, b in pieces:
+        if isinstance(a, _Numerators):
+            on_ints.append((c, a, b))
+        else:
+            piece = product_below(a, b, cap)
+            parts.append(piece if c == 1 else piece.scaled(c))
+    if on_ints:
+        t = min(cap, min(min(a.trunc + b.min_rule_order(),
+                             b.trunc + a.min_rule_order())
+                         for _, a, b in on_ints))
+        den = lcm(*[a.den * b.den for _, a, b in on_ints])
+        acc = {}
+        for c, a, b in on_ints:
+            if not b.terms:
+                continue
+            scale = c * (den // (a.den * b.den))
+            lowest = b.terms[0][0]
+            for e1, n1 in a.terms:
+                limit = t - e1
+                if lowest >= limit:
+                    break
+                n1 *= scale
+                for e2, n2 in b.terms:
+                    if e2 >= limit:
+                        break
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + n1 * n2
+        parts.append(LaurentSeries._trusted(
+            {e: Fraction(n, den) for e, n in acc.items() if n}, t))
+    total = parts[0]
+    for piece in parts[1:]:
+        total = total + piece
+    return total
+
+
 def diffop_compose(w, v, below=INF):
     """The operator g -> w(v(g)), expanded by the Leibniz rule.
 
@@ -172,24 +254,33 @@ def diffop_compose(w, v, below=INF):
     a_k reads b_m^(k-i) only below z^(below - ord a_k), that is b_m below
     z^(below - ord a_k + k), so b_m is truncated there before it is
     differentiated (see laurent.product_below).
+
+    Each order keeps the truncation that adding its pieces as series
+    gives, the smallest of their min-rule truncations (see _sum_below).
+    Where a_k or b_m has one stored term, the pieces are shifts by
+    product_below. Otherwise a_k and b_m are each brought once to integer
+    numerators over one denominator, b_m is differentiated on them, and
+    the pieces are summed as ints.
     """
-    acc = {}
+    pieces = {}
     for k, a in w.terms.items():
+        a_ints = _Numerators.of(a) if len(a.coeffs) != 1 else None
         for m, b in v.terms.items():
             if below < INF:
                 b = b.truncate(below - a.min_rule_order() + k)
-            derivatives = [b]
+            if a_ints is None or len(b.coeffs) == 1:
+                factor, derivatives, step = a, [b], derive
+            else:
+                factor, derivatives, step = \
+                    a_ints, [_Numerators.of(b)], _Numerators.derive
             for _ in range(k):
-                derivatives.append(derive(derivatives[-1]))
+                derivatives.append(step(derivatives[-1]))
             # derivatives[j] = b^(j)
             for i in range(k + 1):
-                piece = product_below(a, derivatives[k - i], below)
-                c = comb(k, i)
-                if c != 1:
-                    piece = piece.scaled(c)
-                o = m + i
-                acc[o] = acc[o] + piece if o in acc else piece
-    return DiffOp(acc)
+                pieces.setdefault(m + i, []).append(
+                    (comb(k, i), factor, derivatives[k - i]))
+    return DiffOp({o: _sum_below(group, below)
+                   for o, group in pieces.items()})
 
 
 def sp_witness(op, radius):

@@ -1,14 +1,16 @@
 """Plain references that the fast kernels are tested against: Fraction
-recurrences for the integer square root, full-length products and
-compositions for the routes that form only the coefficients a reduction
-reads, and the residue pairing read off a full product."""
+recurrences for the integer square root, full-length products,
+compositions by the Leibniz rule over those products, full-length forms
+of the routes that form only the coefficients a reduction reads, and the
+residue pairing read off a full product."""
 
 from fractions import Fraction
+from math import comb
 
 from periodjet.hodge import HomMatrix, reduce_O
 from periodjet.laurent import LaurentSeries, derive, residue
 from periodjet.period import lie_on_form
-from periodjet.witt import diffop_apply, diffop_compose, phi
+from periodjet.witt import DiffOp, diffop_apply, phi
 
 
 def fraction_sqrt_unit(f):
@@ -64,12 +66,27 @@ def full_rho(op, exp):
                      for gj in exp.h10_basis], exp.gaps_O)
 
 
+def full_compose(w, v):
+    """w o v by the Leibniz rule over full_product: order m+i sums
+    C(k,i) a_k b_m^(k-i) over all (k, m) by series addition."""
+    acc = {}
+    for k, a in w.terms.items():
+        for m, b in v.terms.items():
+            derivatives = [b]
+            for _ in range(k):
+                derivatives.append(derive(derivatives[-1]))
+            for i in range(k + 1):
+                piece = full_product(a, derivatives[k - i]).scaled(comb(k, i))
+                acc[m + i] = acc[m + i] + piece if m + i in acc else piece
+    return DiffOp(acc)
+
+
 def full_operator_route(fields, exp):
     """ell1_n with every composition and every column formed to the full
     precision."""
     op = phi(fields[0])
     for zeta in fields[1:]:
-        op = diffop_compose(phi(zeta), op)
+        op = full_compose(phi(zeta), op)
     return full_rho(op, exp).scaled((-1) ** (len(fields) - 1))
 
 

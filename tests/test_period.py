@@ -13,7 +13,7 @@ from periodjet.hodge import (
     HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom,
     reduce_O, reduce_Theta, rho)
 from periodjet.laurent import (
-    INF, LaurentSeries, PrecisionExhausted, derive, product_below)
+    INF, LaurentSeries, PrecisionExhausted, derive)
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
     _set_partitions, canonical_second_rep, d2Phi, ell2, ell2_via_lie, ell1_n,
@@ -595,18 +595,19 @@ def test_ell1_n_routes_agree_on_a_dense_rational_curve():
 
 
 def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
-    # the products witt forms, and the operator handed to rho; the
-    # stand-in for rho forms none, so each product is one of a composition
+    # the products of each order of a composition, as (a, b, cap), and the
+    # operator handed to rho; the stand-in for rho forms none
     products, handed = [], []
+    sum_below = witt._sum_below
 
-    def recorded_product(a, b, cap):
-        products.append((a, b, cap))
-        return product_below(a, b, cap)
+    def recorded_sum(pieces, cap):
+        products.extend((a, b, cap) for _, a, b in pieces)
+        return sum_below(pieces, cap)
 
     def recorded_rho(op, exp):
         handed.append(op)
         return HomMatrix([], [])
-    monkeypatch.setattr(witt, "product_below", recorded_product)
+    monkeypatch.setattr(witt, "_sum_below", recorded_sum)
     monkeypatch.setattr(period, "rho", recorded_rho)
     rng = random.Random(71)
     for n in (2, 3, 4):
@@ -621,11 +622,15 @@ def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
                 bounds.append(bounds[-1] - zeta.f.order() + 1)
             assert products
             assert {cap for _, _, cap in products} == set(bounds)
-            # a product reads b, or b', only below z^(cap - ord a + 1)
-            assert all(b.trunc <= cap - a.order() + 1
+            # a product reads b, or b', only below z^(cap - ord a + 1);
+            # a and b are series, or their integer numerators
+            assert all(b.trunc <= cap - a.min_rule_order() + 1
                        for a, b, cap in products)
             [op] = handed
             assert all(e < 1 for a in op.terms.values() for e in a.coeffs)
+            # and it is known up to there: the fields are exact, so no
+            # earlier bound or truncation may cut it short
+            assert all(a.trunc == 1 for a in op.terms.values())
 
 
 def test_ell1_n_multilinear():

@@ -10,6 +10,8 @@ from periodjet.witt import (
     DiffOp, WittElement, diffop_apply, diffop_compose, phi, sp_witness,
     witt_bracket)
 
+from series_reference import full_compose
+
 
 def random_field(rng, lo=-5, hi=6, nterms=3):
     coeffs = {rng.randint(lo, hi): Fraction(rng.randint(-5, 5))
@@ -188,6 +190,60 @@ def test_bounded_compose_is_the_truncated_full_composition(w, v, below):
     orders = bounded.terms.keys() | full.terms.keys()
     assert {k: bounded.terms.get(k, zero) for k in orders} == \
         {k: full.terms.get(k, zero).truncate(below) for k in orders}
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+
+
+@st.composite
+def compose_coefficients(draw):
+    """An operator coefficient: terms over mixed denominators, one term
+    c z^e with c = 1, -1 or a general rational, or a visible zero; exact
+    or known only below a drawn truncation."""
+    trunc = draw(st.one_of(st.just(INF), st.integers(-6, 10)))
+    kind = draw(st.sampled_from(["terms", "one term", "visible zero"]))
+    if kind == "terms":
+        coeffs = draw(st.dictionaries(st.integers(-6, 6), RATIONALS,
+                                      min_size=2, max_size=6))
+    elif kind == "one term":
+        c = draw(st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                           RATIONALS.filter(bool)))
+        coeffs = {draw(st.integers(-6, 6)): c}
+    else:
+        coeffs, trunc = {}, draw(st.integers(-6, 10))
+    return LaurentSeries(coeffs, trunc)
+
+
+@st.composite
+def compose_operators(draw):
+    """Operators of orders k <= 3. Some hold b at order m and -b' at
+    order m - 1, so that a D composed with them sums a b' and -a b' at
+    order m: pieces that cancel within an order."""
+    terms = {k: draw(compose_coefficients())
+             for k in draw(st.sets(st.integers(1, 3), min_size=1,
+                                   max_size=3))}
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 3))
+        terms[m] = draw(compose_coefficients())
+        terms[m - 1] = -derive(terms[m])
+    return DiffOp(terms)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(compose_operators(), compose_operators(),
+       st.one_of(st.just(INF), st.integers(-14, 16)))
+def test_compose_is_the_truncated_leibniz_reference(w, v, below):
+    got = diffop_compose(w, v, below)
+    full = full_compose(w, v)
+    # an order whose full coefficient is exact zero is absent from it
+    zero = LaurentSeries.zero()
+    orders = got.terms.keys() | full.terms.keys()
+    assert {k: got.terms.get(k, zero) for k in orders} == \
+        {k: full.terms.get(k, zero).truncate(below) for k in orders}
+    for a in got.terms.values():  # the constructor's invariant
+        assert a.trunc is INF or type(a.trunc) is int
+        assert all(type(e) is int and type(c) is Fraction and c and
+                   e < a.trunc for e, c in a.coeffs.items())
 
 
 def test_diffop_constructor_invariants():
