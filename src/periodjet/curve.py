@@ -22,9 +22,6 @@ everything the reduction and period-map layers consume:
                  as the series h_i = g_i'.
     h10_basis    their integrals g_i, each of positive order.
 
-The derivatives h_i' are formed on first use (h10_form_derivatives), for
-the Lie derivatives of the contraction route.
-
 Pole orders are arithmetic here: a function x^a y^b has pole order
 2a + (2g+1)b, a field x^a y^b v0 has 2a + (2g+1)b + (2g-2).
 element_of_pole_O / element_of_pole_Theta build the element of any pole
@@ -166,9 +163,8 @@ class CurveExpansion(object):
     their integrals g_i in h10_basis.
 
     Immutable after construction apart from internal caches, filled on
-    first use: pole-order elements keyed by pole order, the derivatives
-    h_i' of the forms, and one slot, _hodge, that the hodge layer keeps
-    its own state in. Raises
+    first use: pole-order elements keyed by pole order, and one slot,
+    _hodge, that the hodge layer keeps its own state in. Raises
     GapCountMismatch if the gaps below the basis cutoffs do not number g
     and 3g-3.
     """
@@ -197,7 +193,6 @@ class CurveExpansion(object):
 
         self._o_cache = {}
         self._theta_cache = {}
-        self._form_derivatives = None
         self._hodge = {}  # the hodge layer's own state
 
         self.h10_forms, self.h10_basis = holomorphic_integrals(self)
@@ -220,12 +215,6 @@ class CurveExpansion(object):
         if r >= 0 and r % 2 == 0:
             return r // 2, 1
         return None
-
-    def h10_form_derivatives(self):
-        """The derivatives h_i' of the forms h10_forms, formed once."""
-        if self._form_derivatives is None:
-            self._form_derivatives = [derive(h) for h in self.h10_forms]
-        return self._form_derivatives
 
     def element_of_pole_O(self, m):
         """The function x^a y^b - const of pole order m >= 1, or None.

@@ -53,7 +53,7 @@ per function that fills one, keyed by that function.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .laurent import LaurentSeries, PrecisionExhausted, invert, rational_to_str
 from .linalg import det, row_echelon
@@ -97,9 +97,25 @@ class GapClass(object):
         return "GapClass(%r, gaps=%r)" % (self.coords, self.gaps)
 
 
+def _over_lcm(xs):
+    """(d, numerators): the Fractions xs as integers over d, the lcm of
+    their denominators, which leaves them in lowest terms."""
+    d = lcm(*(x.denominator for x in xs))
+    return d, tuple(x.numerator * (d // x.denominator) for x in xs)
+
+
 class HomMatrix(object):
     """Matrix of a map H^{1,0} -> H^{0,1}: entry (i,j) is the coordinate
-    of [z^-n_i] in the image of g_j."""
+    of [z^-n_i] in the image of g_j.
+
+    The g x g entries are kept as one row-major tuple of int numerators
+    over one positive denominator, in lowest terms: the gcd of the
+    denominator and every numerator is 1, so the zero matrix has
+    denominator 1, and equal matrices have equal fields. entries gives
+    them as fresh lists of Fractions.
+    """
+
+    __slots__ = ("numerators", "denominator", "basis_gaps")
 
     def __init__(self, entries, basis_gaps):
         gaps = list(basis_gaps)
@@ -107,57 +123,72 @@ class HomMatrix(object):
         if len(rows) != len(gaps) or any(len(r) != len(gaps) for r in rows):
             raise ValueError("entries must be %d x %d"
                              % (len(gaps), len(gaps)))
-        self.entries = rows
+        self.denominator, self.numerators = _over_lcm(
+            [x for r in rows for x in r])
         self.basis_gaps = gaps
 
     @classmethod
-    def _trusted(cls, entries, basis_gaps):
-        """A matrix from fresh lists, square rows of Fractions, not
-        checked again."""
+    def _trusted(cls, numerators, denominator, basis_gaps):
+        """A matrix from a fresh gaps list and g x g row-major int
+        numerators over a positive denominator, brought to lowest terms
+        here."""
         m = object.__new__(cls)
-        m.entries = entries
+        common = gcd(denominator, *numerators)
+        if common != 1:
+            numerators = [x // common for x in numerators]
+            denominator //= common
+        m.numerators = tuple(numerators)
+        m.denominator = denominator
         m.basis_gaps = basis_gaps
         return m
 
     @classmethod
     def from_columns(cls, columns, basis_gaps):
         """The matrix whose column j is columns[j], a list of Fractions."""
-        return cls._trusted([list(row) for row in zip(*columns)],
-                            list(basis_gaps))
+        d, numerators = _over_lcm([x for row in zip(*columns) for x in row])
+        return cls._trusted(numerators, d, list(basis_gaps))
+
+    @property
+    def entries(self):
+        """The rows, as fresh lists of Fractions."""
+        g, d, nums = len(self.basis_gaps), self.denominator, self.numerators
+        return [[Fraction(x, d) for x in nums[i * g:(i + 1) * g]]
+                for i in range(g)]
 
     def is_zero(self):
-        return all(x == 0 for r in self.entries for x in r)
+        return not any(self.numerators)
 
     def __eq__(self, other):
         if not isinstance(other, HomMatrix):
             return NotImplemented
-        return self.entries == other.entries and \
+        return self.numerators == other.numerators and \
+            self.denominator == other.denominator and \
             self.basis_gaps == other.basis_gaps
 
-    def __add__(self, other):
+    def _combined(self, other, sign):
+        """self + sign * other, on the numerators over the lcm of the two
+        denominators."""
         if not isinstance(other, HomMatrix):
             return NotImplemented
         if self.basis_gaps != other.basis_gaps:
             raise ValueError("basis mismatch")
+        d = lcm(self.denominator, other.denominator)
+        p, q = d // self.denominator, sign * (d // other.denominator)
         return HomMatrix._trusted(
-            [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.entries, other.entries)],
-            list(self.basis_gaps))
+            [p * a + q * b for a, b in zip(self.numerators, other.numerators)],
+            d, list(self.basis_gaps))
+
+    def __add__(self, other):
+        return self._combined(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, HomMatrix):
-            return NotImplemented
-        return self + other.scaled(-1)
+        return self._combined(other, -1)
 
     def scaled(self, c):
         c = Fraction(c)
-        if c == 1:
-            rows = [list(r) for r in self.entries]
-        elif c == -1:  # a negation skips the gcd work of a product
-            rows = [[-x for x in r] for r in self.entries]
-        else:
-            rows = [[c * x for x in r] for r in self.entries]
-        return HomMatrix._trusted(rows, list(self.basis_gaps))
+        return HomMatrix._trusted(
+            [c.numerator * x for x in self.numerators],
+            c.denominator * self.denominator, list(self.basis_gaps))
 
     def __repr__(self):
         return "HomMatrix(%r, basis_gaps=%r)" % (self.entries,
@@ -312,8 +343,8 @@ def _table_rho(op, exp):
     no pole adds nothing to a class and is skipped.
 
     The sum runs on integer numerators over one denominator, the lcm of
-    the terms' a_(k,e).denominator * d, so each matrix entry is one
-    Fraction, normalized once.
+    the terms' a_(k,e).denominator * d, and the matrix keeps them, brought
+    to lowest terms once.
     """
     window = exp.precision - 2
     terms = []
@@ -339,9 +370,7 @@ def _table_rho(op, exp):
         n *= den // d
         for p, x in entry:
             acc[p] += n * x
-    return HomMatrix._trusted(
-        [[Fraction(x, den) for x in acc[i * g:(i + 1) * g]]
-         for i in range(g)], list(exp.gaps_O))
+    return HomMatrix._trusted(acc, den, list(exp.gaps_O))
 
 
 def rho(op, exp):
@@ -361,9 +390,9 @@ def rho(op, exp):
 def is_symmetric_hom(hom, exp):
     """Symmetry criterion: D * M symmetric <=> M is in Hom^(s)."""
     d = _quotient(exp, _pairing_O)[2]
-    m = hom.entries
+    m = hom.numerators  # D * M is symmetric exactly when D * (den M) is
     n = len(d)
-    b = [[sum(d[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+    b = [[sum(d[i][k] * m[k * n + j] for k in range(n)) for j in range(n)]
          for i in range(n)]
     return all(b[i][j] == b[j][i] for i in range(n) for j in range(i + 1, n))
 

@@ -6,7 +6,10 @@ with h = derive(g_j), kept by the expansion as exp.h10_forms; contraction
 and Lie derivative act on series by
 
     zeta -| (h dz)   =  f h,
-    L_zeta (h dz)    =  (f h' + f' h) dz.
+    L_zeta (h dz)    =  (f h' + f' h) dz  =  (f h)' dz,
+
+the last form (Cartan: L_zeta omega = d(zeta -| omega)) being the one
+formed: one product, with the min-rule truncation of the other two.
 
 Every differential is a HomMatrix (or a formal sum of symmetrized products
 of them). Two independent prescriptions exist for each order and the
@@ -20,6 +23,10 @@ module implements each once:
                         the form and contract with the last field, with
                         sign (-1)^n, then reduce. The cross-check oracle;
                         ell2_via_lie is its case n = 2.
+
+Both routes form each step only below the bound the next step reads (see
+_bounds), so the last one, the operator handed to rho or the contraction
+handed to reduce_O, is formed only below z^1.
 
 The contraction route runs on a weighted sum of field words
 (c, [f1, ..., fn]), reducing sum c [fn -| L_f(n-1) ... L_f1 omega_j] once
@@ -146,18 +153,6 @@ class SymProductSum(object):
             self.terms, self.interpretation)
 
 
-def lie_on_form(zeta, h):
-    """Coefficient of L_zeta (h dz) = (f h' + f' h) dz.
-
-    By the min-rule, derive(f * h) has the same coefficients and
-    truncation (Cartan: L_zeta omega = d(zeta -| omega)) at the cost of
-    one product, not two. The two-product form stays until perfbench's
-    peak_rss_mb stops growing with throughput (ROADMAP item 1): the
-    faster dense jobs would push it past its bound.
-    """
-    return zeta.f * derive(h) + derive(zeta.f) * h
-
-
 def nu1(zeta, exp):
     """First differential: the matrix of rho(phi(zeta)), ell1_n at n = 1.
 
@@ -203,10 +198,10 @@ def nu1_image_generators(exp):
 
 
 def in_nu1_image(hom, exp):
-    """Exact membership of a HomMatrix in span{nu1(zeta)}."""
-    gens = [[x for row in m.entries for x in row]
-            for m in nu1_image_generators(exp)]
-    return in_row_span(gens, [x for row in hom.entries for x in row])
+    """Exact membership of a HomMatrix in span{nu1(zeta)}, read on the
+    numerators: scaling a row or the vector keeps the span membership."""
+    gens = [m.numerators for m in nu1_image_generators(exp)]
+    return in_row_span(gens, hom.numerators)
 
 
 def canonical_second_rep(zeta, xi):
@@ -248,6 +243,21 @@ def _order(fields):
     return n
 
 
+def _bounds(last, fields):
+    """The bounds below which the steps of a chain are formed, in their
+    order: fields holds the field of every step but the first. The last
+    step is formed below last. A composition with phi(zeta), or a Lie
+    derivative L_zeta, formed below w reads its input only below
+    w - ord zeta + 1, and the step before it is formed below that bound.
+    After an exact-zero field the step is zero and reads nothing, and the
+    bound is kept."""
+    bounds = [last]
+    for zeta in reversed(fields):
+        o = zeta.f.min_rule_order()
+        bounds.append(bounds[-1] - o + 1 if o < INF else bounds[-1])
+    return bounds[::-1]
+
+
 def ell1_n(fields, exp):
     """Order-n linear differential, operator route:
 
@@ -260,18 +270,13 @@ def ell1_n(fields, exp):
     below z^1 (see witt.diffop_compose). Formed below z^w, the
     composition with phi(zeta_s) reads its right factor only below
     z^(w - ord zeta_s + 1), and that factor is formed below this bound in
-    turn. After an exact-zero field the composition is zero, and nothing
-    before it is read.
+    turn (see _bounds).
     """
     n = _order(fields)
-    bounds = [1]
-    for zeta in reversed(fields[2:]):
-        o = zeta.f.min_rule_order()
-        bounds.append(bounds[-1] - o + 1 if o < INF else bounds[-1])
     # the sign rides on the first field: negating it keeps every order
     # and truncation, so the refusals are those of the unsigned operator
     op = phi(fields[0] if n % 2 else -fields[0])
-    for zeta, below in zip(fields[1:], reversed(bounds)):
+    for zeta, below in zip(fields[1:], _bounds(1, fields[2:])):
         op = diffop_compose(phi(zeta), op, below)
     return rho(op, exp)
 
@@ -282,22 +287,28 @@ def _contraction(words, exp):
 
         sum_w c [ fn -| L_f(n-1) ... L_f1 omega_j ]
 
-    once. Each column starts from the expansion's form h_j = g_j' and its
-    derivative h_j', formed once per expansion, so the first Lie
-    derivative f1 h_j' + f1' h_j derives only the field. Each contraction
-    goes straight into reduce_O, so it is formed only below z^1; the Lie
-    derivatives stay full-length.
+    once, starting from the expansion's form h_j = g_j'. Each contraction
+    goes straight into reduce_O, so it is formed only below z^1, and it
+    reads its form only below z^(1 - ord fn). Each Lie derivative is one
+    product, L_zeta (h dz) = (zeta h)' dz, formed only below the bound
+    the next step reads (see _bounds): below z^w, it forms zeta h below
+    z^(w+1) and reads h below z^(w - ord zeta + 1). By the min-rule the
+    windowed forms have the coefficients and truncation of the full ones
+    below their bounds, so every contraction, and every refusal, is the
+    one the full-length route gives.
     """
+    chains = []
+    for c, fields in words:
+        o = fields[-1].f.min_rule_order()
+        chains.append((c, fields, _bounds(1 - o if o < INF else 1,
+                                          fields[1:-1])))
     cols = []
-    for h, dh in zip(exp.h10_forms, exp.h10_form_derivatives()):
+    for h in exp.h10_forms:
         total = LaurentSeries.zero()
-        for c, fields in words:
+        for c, fields, bounds in chains:
             form = h
-            if len(fields) > 1:
-                f1 = fields[0].f
-                form = f1 * dh + derive(f1) * h
-            for zeta in fields[1:-1]:
-                form = lie_on_form(zeta, form)
+            for zeta, below in zip(fields[:-1], bounds):
+                form = derive(product_below(zeta.f, form, below + 1))
             total = total + product_below(fields[-1].f, form, 1).scaled(c)
         cols.append(reduce_O(total, exp).coords)
     return HomMatrix.from_columns(cols, exp.gaps_O)

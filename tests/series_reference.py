@@ -1,15 +1,15 @@
 """Plain references that the fast kernels are tested against: Fraction
 recurrences for the integer square root, full-length products,
-compositions by the Leibniz rule over those products, full-length forms
-of the routes that form only the coefficients a reduction reads, and the
-residue pairing read off a full product."""
+compositions by the Leibniz rule over those products, the Lie derivative
+by the product rule, full-length forms of the routes that form only the
+coefficients a reduction reads, and the residue pairing read off a full
+product."""
 
 from fractions import Fraction
 from math import comb
 
 from periodjet.hodge import HomMatrix, reduce_O
 from periodjet.laurent import LaurentSeries, derive, residue
-from periodjet.period import lie_on_form
 from periodjet.witt import DiffOp, diffop_apply, phi
 
 
@@ -88,6 +88,13 @@ def full_operator_route(fields, exp):
     for zeta in fields[1:]:
         op = full_compose(phi(zeta), op)
     return full_rho(op, exp).scaled((-1) ** (len(fields) - 1))
+
+
+def lie_on_form(zeta, h):
+    """Coefficient of L_zeta (h dz) = (f h' + f' h) dz, by the product rule
+    over two full-length products: the production route forms it as one
+    windowed product, (f h)'."""
+    return zeta.f * derive(h) + derive(zeta.f) * h
 
 
 def full_contraction(fields, exp):

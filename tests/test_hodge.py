@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from periodjet.hodge import (
 from periodjet.laurent import (
     LaurentSeries, PrecisionExhausted, symplectic_pair)
 from periodjet.linalg import det, row_echelon
+from periodjet.period import ell1_n_contraction
 from periodjet.witt import DiffOp, WittElement, phi
 
 from test_period import dense_expansion
@@ -228,29 +230,57 @@ def test_hom_matrix_arithmetic():
     assert (a - b).entries == [[1, 1], [2, 4]]
     assert a.scaled(Fraction(1, 2)).entries == [[Fraction(1, 2), 1],
                                                 [Fraction(3, 2), 2]]
+    # one value, one representation: a sum that cancels a factor of its
+    # denominator equals the matrix written in lowest terms
+    c = HomMatrix([[Fraction(1, 6), Fraction(1, 3)], [0, 1]], [1, 3]) + \
+        HomMatrix([[Fraction(1, 3), Fraction(-1, 3)], [0, 0]], [1, 3])
+    assert c == HomMatrix([[Fraction(2, 4), 0], [0, 1]], [1, 3]) == \
+        HomMatrix([["1/2", 0], [0, "3/3"]], [1, 3])
+    assert (c.numerators, c.denominator) == ((1, 0, 0, 2), 2)
     with pytest.raises(ValueError):
         a + HomMatrix([[0]], [2])
 
 
+def assert_normal_form(m):
+    """The matrix fields as the constructor leaves them: g x g row-major
+    int numerators over a positive denominator, in lowest terms, 1 for
+    the zero matrix."""
+    g = len(m.basis_gaps)
+    assert type(m.numerators) is tuple and len(m.numerators) == g * g
+    assert all(type(x) is int for x in m.numerators + (m.denominator,))
+    assert m.denominator > 0
+    assert gcd(m.denominator, *m.numerators) == 1
+    assert m.is_zero() == (not any(m.numerators))
+    if m.is_zero():
+        assert m.denominator == 1
+    assert m == HomMatrix(m.entries, m.basis_gaps)
+
+
 def test_internal_results_meet_the_constructor_invariant():
     # classes and matrices the library builds skip validation; they must
-    # hold fresh lists of Fractions, as the public constructors would
+    # hold what the public constructors would: fresh lists of Fractions,
+    # and for a matrix its normal form
     rng = random.Random(61)
     a = HomMatrix([[1, 2], [3, 4]], [1, 3])
     matrices = [a + a, a - a, a.scaled(1), a.scaled(-1), a.scaled(0),
                 a.scaled(Fraction(2, 3))]
     classes = []
-    for e in (E5, E7):
+    for e in (E5, E7, ED):
         matrices.append(rho(DiffOp.zero(), e))
         for _ in range(4):
             tail = random_tail(rng, -6, nterms=3)
-            matrices.append(rho(phi(WittElement(tail)), e))
-            classes += [reduce_O(tail, e), reduce_Theta(WittElement(tail), e)]
-        for m in matrices[-5:]:
+            zeta = WittElement(tail)
+            # the table path, and the columns of the contraction route
+            matrices += [rho(phi(zeta), e), ell1_n_contraction([zeta], e)]
+            classes += [reduce_O(tail, e), reduce_Theta(zeta, e)]
+        table, columns = matrices[-2:]
+        matrices += [table + columns, table - columns, columns.scaled(0),
+                     columns.scaled(-1), table.scaled(Fraction(-7, 6))]
+        for m in matrices[-14:]:
             assert m.basis_gaps == e.gaps_O and m.basis_gaps is not e.gaps_O
     for m in matrices:
         assert all(type(x) is Fraction for row in m.entries for x in row)
-        assert m == HomMatrix(m.entries, m.basis_gaps)
+        assert_normal_form(m)
     for m in matrices[:4]:
         assert all(r is not s for r, s in zip(m.entries, a.entries))
         assert m.basis_gaps is not a.basis_gaps
@@ -258,6 +288,35 @@ def test_internal_results_meet_the_constructor_invariant():
         assert all(type(x) is Fraction for x in c.coords)
         assert c == GapClass(c.coords, c.gaps)
     assert classes[0].gaps is not E5.gaps_O
+
+
+def rational_matrix(g):
+    return st.lists(st.lists(st.fractions(-30, 30, max_denominator=12),
+                             min_size=g, max_size=g), min_size=g, max_size=g)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_matrix_arithmetic_keeps_the_normal_form(data):
+    # sums, differences and multiples on the numerators are the Fraction
+    # arithmetic on the entries, brought to lowest terms
+    g = data.draw(st.integers(1, 3))
+    gaps = list(range(1, 2 * g, 2))
+    x, y = data.draw(rational_matrix(g)), data.draw(rational_matrix(g))
+    c = data.draw(st.sampled_from([0, 1, -1]) |
+                  st.fractions(-9, 9, max_denominator=9))
+    a, b = HomMatrix(x, gaps), HomMatrix(y, gaps)
+    for m, rows in ((a + b, [[p + q for p, q in zip(r, s)]
+                             for r, s in zip(x, y)]),
+                    (a - b, [[p - q for p, q in zip(r, s)]
+                             for r, s in zip(x, y)]),
+                    (a - a, [[0] * g] * g),
+                    (a.scaled(c), [[c * p for p in r] for r in x])):
+        assert_normal_form(m)
+        assert m.entries == rows
+        assert m == HomMatrix(rows, gaps)
+        assert m.is_zero() == all(p == 0 for r in rows for p in r)
+    assert (a == b) == (x == y)
 
 
 def test_duality_matrix_is_built_once_per_expansion(monkeypatch):

@@ -6,25 +6,25 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from periodjet import hodge, period, witt
+from periodjet import hodge, laurent, period, witt
 from periodjet.curve import (
     HyperellipticCurve, default_precision, expand_curve, precision_floor)
 from periodjet.hodge import (
     HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom,
     reduce_O, reduce_Theta, rho)
 from periodjet.laurent import (
-    INF, LaurentSeries, PrecisionExhausted, derive)
+    INF, LaurentSeries, PrecisionExhausted, derive, product_below)
 from periodjet.period import (
     DEFAULT_MAX_ORDER, JetImage, SymProductSum, T2Rep, UnsupportedOrder,
     _set_partitions, canonical_second_rep, d2Phi, ell2, ell2_via_lie, ell1_n,
     ell1_n_contraction, ell_k_n, fundamental_form_II, in_nu1_image,
-    jet_to_json, lie_on_form, nu1, nu1_image_generators, nu2,
+    jet_to_json, nu1, nu1_image_generators, nu2,
     sym_sum_to_json, t2rep_from_json)
 from periodjet.witt import (
     DiffOp, WittElement, diffop_compose, phi, witt_bracket)
 
 from series_reference import (
-    full_contraction, full_nu2, full_operator_route, full_rho)
+    full_contraction, full_nu2, full_operator_route, full_rho, lie_on_form)
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -161,26 +161,92 @@ def test_lie_on_form_product_rule():
     assert f2.f * lie_on_form(f1, h) == f2.f * derive(f1.f * h)
 
 
-def test_contraction_route_derives_no_form_after_the_first_call(
-        monkeypatch):
-    # the columns start from the expansion's h_j and h_j': once they are
-    # formed, only the fields are derived, never a series as long as a g_j
-    rng = random.Random(29)
-    for exp in (E5, E7, ED):
-        f1, f2 = random_field(rng), random_field(rng)
-        rep = canonical_second_rep(f1, f2)
-        ell2_via_lie(f1, f2, exp)
-        lengths = []
+def contraction_caps(fields):
+    """The caps of a word's products, in the order they are formed: the
+    last contraction is formed below z^1 and reads its form below
+    z^(1 - ord fn); L_zeta formed below z^w is (zeta h)' with zeta h
+    formed below z^(w+1), and reads h below z^(w - ord zeta + 1). An
+    exact-zero field keeps the bound."""
+    caps = [1]
+    o = fields[-1].f.min_rule_order()
+    reads = 1 - o if o < INF else 1
+    for zeta in reversed(fields[:-1]):
+        caps.append(reads + 1)
+        o = zeta.f.min_rule_order()
+        reads = reads - o + 1 if o < INF else reads
+    return caps[::-1]
 
-        def counting_derive(f):
-            lengths.append(len(f.coeffs))
-            return derive(f)
-        monkeypatch.setattr(period, "derive", counting_derive)
-        ell2_via_lie(f1, f2, exp)
-        nu2(rep, exp)
-        monkeypatch.undo()
-        assert lengths
-        assert max(lengths) < min(len(g.coeffs) for g in exp.h10_basis)
+
+def test_contraction_route_forms_each_form_only_below_what_is_read(
+        monkeypatch):
+    # every product of the contraction route, as (a, b, cap, result)
+    products = []
+
+    def recorded_product(a, b, cap):
+        r = product_below(a, b, cap)
+        products.append((a, b, cap, r))
+        return r
+    monkeypatch.setattr(period, "product_below", recorded_product)
+    rng = random.Random(73)
+    zero = WittElement(LaurentSeries.zero())
+    for exp in (E5, ED):
+        runs = []
+        for n in (1, 2, 3, 4):
+            for i in range(4):
+                fields = [random_field(rng) for _ in range(n)]
+                if i == 0:
+                    fields[rng.randrange(n)] = zero
+                runs.append((ell1_n_contraction, fields,
+                             [((-1) ** n, fields)]))
+        rep = T2Rep(random_field(rng), [(random_field(rng),
+                                         random_field(rng))])
+        runs.append((nu2, rep, rep.words()))
+        for route, arg, words in runs:
+            del products[:]
+            route(arg, exp)
+            expected = [(zeta.f, cap) for _ in exp.h10_forms
+                        for _, fields in words
+                        for zeta, cap in zip(fields, contraction_caps(fields))]
+            assert [(a, cap) for a, _, cap, _ in products] == expected
+            k = 0
+            for _ in exp.h10_forms:
+                for _, fields in words:
+                    chain = products[k:k + len(fields)]
+                    k += len(fields)
+                    # each form after the kept h_j is formed only below
+                    # what the next product reads
+                    assert all(b.trunc <= cap - a.min_rule_order()
+                               for a, b, cap, _ in chain[1:]
+                               if a.min_rule_order() < INF)
+                    # and known up to there: the fields are exact, so no
+                    # bound may cut the contraction short of z^1
+                    assert chain[-1][3].trunc == 1
+
+
+def test_contraction_route_forms_as_many_terms_at_any_precision(
+        monkeypatch):
+    # the contraction route's work is bounded by its fields: at precision
+    # P and P + 100 it forms the same number of product terms
+    formed = []
+
+    def counted_product(a, b, cap):
+        r = product_below(a, b, cap)
+        formed.append(len(r.coeffs))
+        return r
+    monkeypatch.setattr(laurent, "product_below", counted_product)
+    monkeypatch.setattr(period, "product_below", counted_product)
+    rng = random.Random(79)
+    curve = HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1])
+    f1, f2, f3, f4 = (random_field(rng) for _ in range(4))
+    rep = T2Rep(f1, [(f2, f3), (f3, f4)])
+    counts, results = [], []
+    for p in (default_precision(3), default_precision(3) + 100):
+        exp = expand_curve(curve, p)
+        del formed[:]
+        results.append((ell2_via_lie(f1, f2, exp), nu2(rep, exp)))
+        counts.append(sum(formed))
+    assert counts[0] == counts[1] > 0
+    assert results[0] == results[1]
 
 
 # --- full second jet and second fundamental form ---------------------------
@@ -453,15 +519,19 @@ def test_nu2_is_minus_rho_of_its_operator(exp, data):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_contraction_matches_full_length_reference(exp, data):
-    # the Lie derivatives are full-length; exact low-pole fields among them
-    # keep some order-3 words reducible
+    # the reference's Lie derivatives are full-length; exact low-pole
+    # fields among them keep some order-3 and order-4 words reducible, and
+    # zero fields, exact or known only below some z^t, bound what the
+    # steps before them read
     exact = st.builds(
         lambda es, cs: WittElement(LaurentSeries(dict(zip(es, cs)))),
         st.lists(st.integers(-3, 6), min_size=1, max_size=3),
         st.lists(st.fractions(-4, 4, max_denominator=5).filter(bool),
                  min_size=3, max_size=3))
-    fields = data.draw(st.lists(exact | field_near_threshold(exp),
-                                max_size=2))
+    zero = st.builds(lambda t: WittElement(LaurentSeries.zero(t)),
+                     st.just(INF) | st.integers(-3, 4))
+    fields = data.draw(st.lists(exact | zero | field_near_threshold(exp),
+                                max_size=3))
     fields.append(data.draw(field_near_threshold(exp)))
     assert outcome(ell1_n_contraction, fields, exp) == \
         outcome(full_contraction, fields, exp)
