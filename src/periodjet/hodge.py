@@ -40,6 +40,8 @@ integer numerators over one denominator. Where the orders and
 truncations of alpha say a column might be unknown at z^0 or reach a
 pole beyond the basis window, rho reduces alpha(g_j) itself, so the
 matrix, and any exception, is the one the full alpha(g_j) gives.
+refuse_before_rho raises that PrecisionExhausted from sketches of
+alpha's coefficients, before alpha is formed, where they decide it.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
 with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>, the D of
@@ -112,13 +114,14 @@ class HomMatrix(object):
     over one positive denominator, in lowest terms: the gcd of the
     denominator and every numerator is 1, so the zero matrix has
     denominator 1, and equal matrices have equal fields. entries gives
-    them as fresh lists of Fractions.
+    them as fresh lists of Fractions. basis_gaps is a tuple, which the
+    matrices the library builds share with their quotient record.
     """
 
     __slots__ = ("numerators", "denominator", "basis_gaps")
 
     def __init__(self, entries, basis_gaps):
-        gaps = list(basis_gaps)
+        gaps = tuple(basis_gaps)
         rows = [[Fraction(x) for x in r] for r in entries]
         if len(rows) != len(gaps) or any(len(r) != len(gaps) for r in rows):
             raise ValueError("entries must be %d x %d"
@@ -129,7 +132,7 @@ class HomMatrix(object):
 
     @classmethod
     def _trusted(cls, numerators, denominator, basis_gaps):
-        """A matrix from a fresh gaps list and g x g row-major int
+        """A matrix from a gaps tuple, shared, and g x g row-major int
         numerators over a positive denominator, brought to lowest terms
         here."""
         m = object.__new__(cls)
@@ -144,9 +147,10 @@ class HomMatrix(object):
 
     @classmethod
     def from_columns(cls, columns, basis_gaps):
-        """The matrix whose column j is columns[j], a list of Fractions."""
+        """The matrix whose column j is columns[j], a list of Fractions,
+        over the gaps tuple basis_gaps."""
         d, numerators = _over_lcm([x for row in zip(*columns) for x in row])
-        return cls._trusted(numerators, d, list(basis_gaps))
+        return cls._trusted(numerators, d, basis_gaps)
 
     @property
     def entries(self):
@@ -176,7 +180,7 @@ class HomMatrix(object):
         p, q = d // self.denominator, sign * (d // other.denominator)
         return HomMatrix._trusted(
             [p * a + q * b for a, b in zip(self.numerators, other.numerators)],
-            d, list(self.basis_gaps))
+            d, self.basis_gaps)
 
     def __add__(self, other):
         return self._combined(other, 1)
@@ -188,11 +192,11 @@ class HomMatrix(object):
         c = Fraction(c)
         return HomMatrix._trusted(
             [c.numerator * x for x in self.numerators],
-            c.denominator * self.denominator, list(self.basis_gaps))
+            c.denominator * self.denominator, self.basis_gaps)
 
     def __repr__(self):
         return "HomMatrix(%r, basis_gaps=%r)" % (self.entries,
-                                                 self.basis_gaps)
+                                                 list(self.basis_gaps))
 
 
 def _table(exp, owner):
@@ -206,10 +210,11 @@ def _quotient(exp, pairing):
     pairing is given, built once per expansion.
 
     pairing(exp) gives pair, the pairings p(m) of z^-m with a basis of
-    the quotient's dual space, and the gap basis. D = (p(n_j))_j holds
-    the pairings of the gap monomials, and D^-1 is the right half of the
-    echelon form of [D | I]. classes maps a pole order m to the class of
-    z^-m, D^-1 p(m), filled by _reduce as it meets m.
+    the quotient's dual space, and the gap basis, kept as a tuple that
+    the matrices over it share. D = (p(n_j))_j holds the pairings of the
+    gap monomials, and D^-1 is the right half of the echelon form of
+    [D | I]. classes maps a pole order m to the class of z^-m, D^-1 p(m),
+    filled by _reduce as it meets m.
     """
     records = _table(exp, _quotient)
     if pairing not in records:
@@ -218,8 +223,16 @@ def _quotient(exp, pairing):
         n = len(d)
         rows, _ = row_echelon([r + [int(i == j) for j in range(n)]
                                for i, r in enumerate(d)])
-        records[pairing] = (pair, gaps, d, [r[n:] for r in rows], {})
+        records[pairing] = (pair, tuple(gaps), d, [r[n:] for r in rows],
+                            {})
     return records[pairing]
+
+
+def _short(what, min_trunc, trunc):
+    """The refusal of a reduction whose input is known too little."""
+    return PrecisionExhausted(
+        "%s reduction needs truncation >= %d, input has %s"
+        % (what, min_trunc, trunc))
 
 
 def _reduce(series, exp, min_trunc, what, pairing):
@@ -231,9 +244,7 @@ def _reduce(series, exp, min_trunc, what, pairing):
     off, or added to, the quotient's record (see _quotient).
     """
     if series.trunc < min_trunc:
-        raise PrecisionExhausted(
-            "%s reduction needs truncation >= %d, input has %s"
-            % (what, min_trunc, series.trunc))
+        raise _short(what, min_trunc, series.trunc)
     poles = {-e: c for e, c in series.coeffs.items() if e < 0}
     if poles and max(poles) > exp.precision - 2:
         raise UnreducibleExponent(
@@ -282,6 +293,12 @@ def reduce_Theta(zeta, exp):
     return _reduce(zeta.f, exp, 0, "H^1(Theta)", _pairing_Theta)
 
 
+def _gaps_O(exp):
+    """The gaps of H^1(O) as its record keeps them, a tuple that every
+    matrix over them shares."""
+    return _quotient(exp, _pairing_O)[1]
+
+
 def duality_matrix(exp):
     """D(i,j) = <g_i, z^-n_j> over the O-gaps; exact, invertible. A fresh
     copy of the D of H^1(O)'s record."""
@@ -299,17 +316,55 @@ def _columns(op, exp):
 
 
 def _derivative_orders(exp, k):
-    """The smallest min_rule_order and the smallest trunc over the g_j^(k),
-    read off the g_j: k derivatives kill exactly the exponents 0 <= e < k.
+    """The smallest min_rule_order and the smallest trunc over the
+    g_j^(k), and the pair (min_rule_order, trunc) of each g_j^(k) in
+    column order, read off the g_j: k derivatives kill exactly the
+    exponents 0 <= e < k. Formed once per expansion.
     """
     table = _table(exp, _derivative_orders)
     orders = table.get(k)
     if orders is None:
-        orders = table[k] = (
-            min(min((e for e in gj.coeffs if not 0 <= e < k),
-                    default=gj.trunc) for gj in exp.h10_basis) - k,
-            min(gj.trunc for gj in exp.h10_basis) - k)
+        columns = [(min((e for e in gj.coeffs if not 0 <= e < k),
+                        default=gj.trunc) - k, gj.trunc - k)
+                   for gj in exp.h10_basis]
+        orders = table[k] = (min(o for o, _ in columns),
+                             min(t for _, t in columns), columns)
     return orders
+
+
+def refuse_before_rho(sketches, exp):
+    """Raise the PrecisionExhausted that rho raises on an operator of
+    which only the sketches of its coefficients are known, where they
+    decide it; else return, and rho forms what it reads.
+
+    sketches maps each order k of the operator to the sketch
+    (t, o, exact) of its coefficient a_k (see witt._sketch). Where the
+    table cannot serve, rho reduces the columns in order. Column j, the
+    sum of a_k g_j^(k) below z^1, is known below the smallest of 1,
+    t + ord g_j^(k) and trunc g_j^(k) + ord a_k, and has no pole deeper
+    than -min_k(o + ord g_j^(k)). Where that truncation is below 1 and
+    does not rest on an order the sketch leaves open, reduce_O raises
+    on column j, and this raises the same, provided each column before
+    it is known below z^1 and reaches no pole beyond the basis window.
+    """
+    window = exp.precision - 2
+    columns = {k: _derivative_orders(exp, k)[2] for k in sketches}
+    for j in range(len(exp.h10_basis)):
+        trunc, known, deepest = 1, True, 1
+        for k, (t, o, exact) in sketches.items():
+            og, tg = columns[k][j]
+            for bound, sure in ((t + og, True), (tg + o, exact)):
+                if bound < trunc:
+                    trunc, known = bound, sure
+                elif bound == trunc:
+                    known = known or sure
+            deepest = min(deepest, o + og)
+        if trunc < 1:
+            if known:
+                raise _short("H^1(O)", 1, trunc)
+            return
+        if deepest < -window:
+            return
 
 
 def _table_entry(exp, k, e):
@@ -349,7 +404,7 @@ def _table_rho(op, exp):
     window = exp.precision - 2
     terms = []
     for k, a in op.terms.items():
-        o, t = _derivative_orders(exp, k)
+        o, t, _ = _derivative_orders(exp, k)
         lowest = a.order()
         if a.trunc + o < 1 or t + (a.trunc if lowest is None else lowest) < 1:
             return None
@@ -364,13 +419,14 @@ def _table_rho(op, exp):
             d *= c.denominator
             den = lcm(den, d)
             scaled.append((c.numerator, d, entry))
-    g = len(exp.gaps_O)
+    gaps = _gaps_O(exp)
+    g = len(gaps)
     acc = [0] * (g * g)
     for n, d, entry in scaled:
         n *= den // d
         for p, x in entry:
             acc[p] += n * x
-    return HomMatrix._trusted(acc, den, list(exp.gaps_O))
+    return HomMatrix._trusted(acc, den, gaps)
 
 
 def rho(op, exp):
@@ -383,7 +439,7 @@ def rho(op, exp):
     """
     m = _table_rho(op, exp)
     if m is None:
-        m = HomMatrix.from_columns(_columns(op, exp), exp.gaps_O)
+        m = HomMatrix.from_columns(_columns(op, exp), _gaps_O(exp))
     return m
 
 

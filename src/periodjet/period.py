@@ -18,21 +18,25 @@ module implements each once:
     operator route      ell1_n: compose first-order operators phi(zeta_i),
                         feed the reversed composition to rho, with sign
                         (-1)^(n-1). The production route; nu1 and ell2 are
-                        its cases n = 1 and n = 2.
+                        its cases n = 1 and n = 2, and nu2 runs it on its
+                        representative's words.
     contraction route   ell1_n_contraction: iterate the Lie derivative on
                         the form and contract with the last field, with
                         sign (-1)^n, then reduce. The cross-check oracle;
-                        ell2_via_lie is its case n = 2.
+                        ell2_via_lie is its case n = 2, and _contraction
+                        on a representative's words is nu2's oracle.
 
 Both routes form each step only below the bound the next step reads (see
 _bounds), so the last one, the operator handed to rho or the contraction
 handed to reduce_O, is formed only below z^1.
 
-The contraction route runs on a weighted sum of field words
-(c, [f1, ..., fn]), reducing sum c [fn -| L_f(n-1) ... L_f1 omega_j] once
-per column; ell1_n_contraction is the single word (-1)^n [f1, ..., fn].
-nu2 is the contraction route on its representative's words (T2Rep.words):
-upsilon alone, and each symmetric pair in both orders with weight 1/2.
+A second-order representative is a weighted sum of field words
+(c, [f1, ..., fn]) (T2Rep.words): upsilon alone, and each symmetric pair
+in both orders with weight 1/2. nu2 sums their operators
+-c phi(fn) o ... o phi(f1) in one integer pass and hands the sum to rho.
+Its oracle, _contraction, reduces sum c [fn -| L_f(n-1) ... L_f1 omega_j]
+once per column; ell1_n_contraction is its single word
+(-1)^n [f1, ..., fn].
 
 The two agree identically (L_zeta d(u) = d(phi(zeta) u)), which is the
 cross-check the acceptance suite pins. All remaining global signs are +1;
@@ -44,12 +48,16 @@ on the upsilon term of nu2 is forced to + by the last requirement.
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 
-from .hodge import HomMatrix, hom_to_json, reduce_O, rho
+from .hodge import (
+    HomMatrix, _gaps_O, hom_to_json, reduce_O, refuse_before_rho, rho)
 from .laurent import INF, LaurentSeries, derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
-from .witt import WittElement, diffop_compose, phi, witt_bracket
+from .witt import (
+    WittElement, _collect, _collect_phi, _sketch, _summed, diffop_compose,
+    phi, witt_bracket)
 
 # the highest differential order the order-n entry points take
 DEFAULT_MAX_ORDER = 4
@@ -64,16 +72,17 @@ def _series_key(s):
 
 
 def _hom_key(m):
-    return (tuple(m.basis_gaps),
-            tuple(tuple(row) for row in m.entries))
+    return (m.basis_gaps, tuple(tuple(row) for row in m.entries))
 
 
 def _canonical(groups, key):
     """The one canonical form of a list of unordered groups: each group a
     tuple sorted by key, and the groups sorted by the keys of their
-    members."""
-    groups = [tuple(sorted(g, key=key)) for g in groups]
-    return sorted(groups, key=lambda g: [key(x) for x in g])
+    members. Each member's key is computed once."""
+    keyed = [sorted(((key(x), x) for x in g), key=itemgetter(0))
+             for g in groups]
+    keyed.sort(key=lambda g: [k for k, _ in g])
+    return [tuple(x for _, x in g) for g in keyed]
 
 
 class T2Rep(object):
@@ -218,16 +227,37 @@ def canonical_second_rep(zeta, xi):
 
 def nu2(rep, exp):
     """Second differential on second-order tangent representatives: the
-    contraction route on the representative's words, so column j reduces
+    operator route on the representative's words (T2Rep.words),
 
-        sum_i (1/2)(xi_i -| L_zeta_i + zeta_i -| L_xi_i)(omega_j)
-        + upsilon -| omega_j.
+        -rho( phi(upsilon) + sum_i (1/2)(phi(xi_i) o phi(zeta_i)
+                                         + phi(zeta_i) o phi(xi_i)) ).
+
+    The words' operators are summed in one integer pass: the Leibniz
+    pieces of each pair's composition, formed below z^1 as ell1_n forms
+    its last one, and the order-1 term phi(upsilon) go into one dict with
+    weight -c, and each order is summed once below z^1 (see
+    witt._sum_below). Before that, the sketch of each order's sum (see
+    witt._sketch) decides rho's PrecisionExhausted where it can
+    (hodge.refuse_before_rho), so fields known too little for z^1 are
+    refused without forming a product. rho reads the sum off its table
+    where it can. The contraction route on the same words, _contraction,
+    is the oracle. The min-rule reads the orders of the summed
+    coefficients, so where words cancel nu2 can answer where the
+    contraction route, which takes each word's truncation, refuses.
 
     The + on the upsilon coupling makes nu2(canonical_second_rep(z, x))
     equal ell2(z, x) identically; with a - it would differ by twice the
     upsilon term.
     """
-    return _contraction(rep.words(), exp)
+    pieces = {}
+    for c, fields in rep.words():
+        if len(fields) == 1:
+            _collect_phi(fields[0], -c, pieces)
+        else:  # phi(f2) o phi(f1), the last composition of the word
+            _collect(phi(fields[1]), phi(fields[0]), 1, -c, pieces)
+    refuse_before_rho({k: _sketch(group, 1) for k, group in pieces.items()},
+                      exp)
+    return rho(_summed(pieces, 1), exp)
 
 
 def _order(fields):
@@ -311,7 +341,7 @@ def _contraction(words, exp):
                 form = derive(product_below(zeta.f, form, below + 1))
             total = total + product_below(fields[-1].f, form, 1).scaled(c)
         cols.append(reduce_O(total, exp).coords)
-    return HomMatrix.from_columns(cols, exp.gaps_O)
+    return HomMatrix.from_columns(cols, _gaps_O(exp))
 
 
 def ell1_n_contraction(fields, exp):

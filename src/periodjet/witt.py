@@ -20,10 +20,15 @@ certificate, not a proof of membership in sp(H'). Every phi-image passes
 Res(f x'y' + x(fy')') = Res (xfy')' = 0), while the genuinely
 non-symplectic second derivative g -> g'' fails already at radius 4.
 
-diffop_compose, the kernel of the operator route (period.ell1_n), sums
-its Leibniz pieces on integer numerators and normalizes one Fraction per
-coefficient; diffop_apply and the contraction route keep Fraction
-products.
+One kernel serves the operator route (period.ell1_n and period.nu2)
+and the bracket: _collect gathers the Leibniz pieces of a weighted
+composition by order, and _sum_below sums the pieces of each order on
+integer numerators and normalizes one Fraction per coefficient.
+diffop_compose is the two with weight 1, and witt_bracket sums the
+pieces f_a f_b' and -f_b f_a'. _sketch reads the truncation and the
+order of such a sum off its pieces without forming it, which lets
+period.nu2 refuse before it sums. diffop_apply and the contraction
+route keep Fraction products.
 """
 
 from fractions import Fraction
@@ -134,8 +139,12 @@ class DiffOp(object):
 
 
 def witt_bracket(a, b):
-    """[a, b] with coefficient f_a f_b' - f_b f_a'."""
-    return WittElement(a.f * derive(b.f) - b.f * derive(a.f))
+    """[a, b] with coefficient f_a f_b' - f_b f_a': the pieces
+    (1, f_a, f_b') and (-1, f_b, f_a') on integer numerators, summed by
+    _sum_below with no cap."""
+    na, nb = _Numerators.of(a.f), _Numerators.of(b.f)
+    return WittElement(_sum_below([(1, na, nb.derive()),
+                                   (-1, nb, na.derive())], INF))
 
 
 def phi(zeta):
@@ -193,16 +202,16 @@ class _Numerators(object):
 
 
 def _sum_below(pieces, cap):
-    """sum c * a * b over the pieces (c, a, b), truncated at cap, as adding
-    the products as series gives it: the truncation is the smallest of
-    cap and the pieces' min-rule truncations, and sums that cancel to
-    zero are dropped.
+    """sum c * a * b over the pieces (c, a, b), c an int or a Fraction,
+    truncated at cap, as adding the products as series gives it: the
+    truncation is the smallest of cap and the pieces' min-rule
+    truncations, and sums that cancel to zero are dropped.
 
     A piece of LaurentSeries is formed by product_below, where a one-term
     factor is a shift. The pieces of _Numerators are summed as ints over
-    one denominator, the lcm of their a.den * b.den, below the smallest
-    of cap and their min-rule truncations, each walk stopping where
-    product_below's would, and one Fraction is normalized per
+    one denominator, the lcm of their c.denominator * a.den * b.den, below
+    the smallest of cap and their min-rule truncations, each walk stopping
+    where product_below's would, and one Fraction is normalized per
     coefficient.
     """
     parts, on_ints = [], []
@@ -216,12 +225,12 @@ def _sum_below(pieces, cap):
         t = min(cap, min(min(a.trunc + b.min_rule_order(),
                              b.trunc + a.min_rule_order())
                          for _, a, b in on_ints))
-        den = lcm(*[a.den * b.den for _, a, b in on_ints])
+        den = lcm(*[c.denominator * a.den * b.den for c, a, b in on_ints])
         acc = {}
         for c, a, b in on_ints:
             if not b.terms:
                 continue
-            scale = c * (den // (a.den * b.den))
+            scale = c.numerator * (den // (c.denominator * a.den * b.den))
             lowest = b.terms[0][0]
             for e1, n1 in a.terms:
                 limit = t - e1
@@ -241,28 +250,59 @@ def _sum_below(pieces, cap):
     return total
 
 
-def diffop_compose(w, v, below=INF):
-    """The operator g -> w(v(g)), expanded by the Leibniz rule.
+def _lowest(x):
+    """The lowest stored term of a factor of _sum_below as (e, n, d), its
+    coefficient being n/d, or None when it has none."""
+    if isinstance(x, _Numerators):
+        if not x.terms:
+            return None
+        e, n = x.terms[0]
+        return e, n, x.den
+    if not x.coeffs:
+        return None
+    e = min(x.coeffs)
+    c = x.coeffs[e]
+    return e, c.numerator, c.denominator
+
+
+def _sketch(pieces, cap):
+    """What _sum_below(pieces, cap) gives, read off the pieces' lowest
+    terms and truncations without forming a product: (t, o, exact),
+    where t is its truncation and it has no term below z^o. exact says
+    that o is its min-rule order: it has no term and o = t, or the
+    pieces' lowest terms at z^o, summed as integer fractions, do not
+    cancel.
+    """
+    t, low = cap, {}
+    for w, a, b in pieces:
+        la, lb = _lowest(a), _lowest(b)
+        t = min(t, a.trunc + (lb[0] if lb else b.trunc),
+                b.trunc + (la[0] if la else a.trunc))
+        if la and lb:
+            e = la[0] + lb[0]
+            n, d = low.get(e, (0, 1))
+            pn = w.numerator * la[1] * lb[1]
+            pd = w.denominator * la[2] * lb[2]
+            low[e] = (n * pd + pn * d, d * pd)
+    o = min((e for e in low if e < t), default=t)
+    return t, o, o == t or low[o][0] != 0
+
+
+def _collect(w, v, below, weight, pieces):
+    """Add the Leibniz pieces of weight * (w o v), formed below z^below,
+    to pieces, a dict from each order to its list of pieces (c, a, b) as
+    _sum_below takes them.
 
     a_k D^k (b_m D^m) = a_k sum_{i=0..k} C(k,i) b_m^(k-i) D^(m+i), so order
-    m+i collects a_k * C(k,i) * derive^{k-i}(b_m) over all (k, m).
-
-    With a finite bound, only the terms below z^below are formed, and the
-    result is the full composition with every coefficient truncated at
-    below; an order whose full coefficient is exact zero, and so absent,
-    may then be stored as a zero known below z^below. The product with
-    a_k reads b_m^(k-i) only below z^(below - ord a_k), that is b_m below
-    z^(below - ord a_k + k), so b_m is truncated there before it is
-    differentiated (see laurent.product_below).
-
-    Each order keeps the truncation that adding its pieces as series
-    gives, the smallest of their min-rule truncations (see _sum_below).
-    Where a_k or b_m has one stored term, the pieces are shifts by
-    product_below. Otherwise a_k and b_m are each brought once to integer
-    numerators over one denominator, b_m is differentiated on them, and
-    the pieces are summed as ints.
+    m+i collects (weight * C(k,i), a_k, derive^{k-i}(b_m)) over all
+    (k, m). The product with a_k reads b_m^(k-i) only below
+    z^(below - ord a_k), that is b_m below z^(below - ord a_k + k), so
+    b_m is truncated there before it is differentiated (see
+    laurent.product_below). Where a_k or b_m has one stored term, the
+    piece holds the series, and _sum_below forms it as a shift.
+    Otherwise a_k and b_m are each brought once to integer numerators
+    over one denominator, and b_m is differentiated on them.
     """
-    pieces = {}
     for k, a in w.terms.items():
         a_ints = _Numerators.of(a) if len(a.coeffs) != 1 else None
         for m, b in v.terms.items():
@@ -278,9 +318,37 @@ def diffop_compose(w, v, below=INF):
             # derivatives[j] = b^(j)
             for i in range(k + 1):
                 pieces.setdefault(m + i, []).append(
-                    (comb(k, i), factor, derivatives[k - i]))
-    return DiffOp({o: _sum_below(group, below)
-                   for o, group in pieces.items()})
+                    (weight * comb(k, i), factor, derivatives[k - i]))
+
+
+def _collect_phi(zeta, weight, pieces):
+    """Add weight * phi(zeta) to pieces: its one coefficient f as the
+    product of f with the exact series 1, on integer numerators."""
+    pieces.setdefault(1, []).append(
+        (weight, _Numerators.of(zeta.f), _Numerators.of(LaurentSeries.one())))
+
+
+def _summed(pieces, below):
+    """The operator whose order-k coefficient sums the pieces collected
+    for k, below z^below (see _sum_below)."""
+    return DiffOp({k: _sum_below(group, below)
+                   for k, group in pieces.items()})
+
+
+def diffop_compose(w, v, below=INF):
+    """The operator g -> w(v(g)), expanded by the Leibniz rule: the
+    pieces of _collect at weight 1, summed per order by _sum_below.
+
+    With a finite bound, only the terms below z^below are formed, and the
+    result is the full composition with every coefficient truncated at
+    below; an order whose full coefficient is exact zero, and so absent,
+    may then be stored as a zero known below z^below. Each order keeps
+    the truncation that adding its pieces as series gives, the smallest
+    of their min-rule truncations.
+    """
+    pieces = {}
+    _collect(w, v, below, 1, pieces)
+    return _summed(pieces, below)
 
 
 def sp_witness(op, radius):

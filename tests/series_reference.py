@@ -1,9 +1,9 @@
 """Plain references that the fast kernels are tested against: Fraction
 recurrences for the integer square root, full-length products,
-compositions by the Leibniz rule over those products, the Lie derivative
-by the product rule, full-length forms of the routes that form only the
-coefficients a reduction reads, and the residue pairing read off a full
-product."""
+compositions by the Leibniz rule over those products, the Witt bracket
+over them, the Lie derivative by the product rule, full-length forms of
+the routes that form only the coefficients a reduction reads, and the
+residue pairing read off a full product."""
 
 from fractions import Fraction
 from math import comb
@@ -79,6 +79,12 @@ def full_compose(w, v):
                 piece = full_product(a, derivatives[k - i]).scaled(comb(k, i))
                 acc[m + i] = acc[m + i] + piece if m + i in acc else piece
     return DiffOp(acc)
+
+
+def full_bracket(a, b):
+    """The coefficient f_a f_b' - f_b f_a' of [a, b], by series
+    subtraction of two full_products."""
+    return full_product(a.f, derive(b.f)) - full_product(b.f, derive(a.f))
 
 
 def full_operator_route(fields, exp):

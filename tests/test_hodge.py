@@ -219,6 +219,13 @@ def test_hom_matrix_json():
     obj = hom_to_json(m)
     assert obj == {"basis_gaps": [1, 3],
                    "entries": [["1/2", "0/1"], ["-3/1", "4/1"]]}
+    # the gaps are kept as a tuple, and printed as a list
+    assert m.basis_gaps == (1, 3)
+    assert repr(m) == ("HomMatrix([[Fraction(1, 2), Fraction(0, 1)], "
+                       "[Fraction(-3, 1), Fraction(4, 1)]], "
+                       "basis_gaps=[1, 3])")
+    assert repr(rho(phi(WittElement.monomial(-3)), E5)).endswith(
+        "basis_gaps=[1, 3])")
     with pytest.raises(ValueError):
         HomMatrix([[1, 2]], [1, 3])
 
@@ -259,7 +266,8 @@ def assert_normal_form(m):
 def test_internal_results_meet_the_constructor_invariant():
     # classes and matrices the library builds skip validation; they must
     # hold what the public constructors would: fresh lists of Fractions,
-    # and for a matrix its normal form
+    # and for a matrix its normal form over a gaps tuple, which needs no
+    # fresh copy
     rng = random.Random(61)
     a = HomMatrix([[1, 2], [3, 4]], [1, 3])
     matrices = [a + a, a - a, a.scaled(1), a.scaled(-1), a.scaled(0),
@@ -277,13 +285,14 @@ def test_internal_results_meet_the_constructor_invariant():
         matrices += [table + columns, table - columns, columns.scaled(0),
                      columns.scaled(-1), table.scaled(Fraction(-7, 6))]
         for m in matrices[-14:]:
-            assert m.basis_gaps == e.gaps_O and m.basis_gaps is not e.gaps_O
+            assert type(m.basis_gaps) is tuple
+            assert m.basis_gaps == tuple(e.gaps_O)
     for m in matrices:
         assert all(type(x) is Fraction for row in m.entries for x in row)
         assert_normal_form(m)
     for m in matrices[:4]:
         assert all(r is not s for r, s in zip(m.entries, a.entries))
-        assert m.basis_gaps is not a.basis_gaps
+        assert m.basis_gaps == a.basis_gaps == (1, 3)
     for c in classes:
         assert all(type(x) is Fraction for x in c.coords)
         assert c == GapClass(c.coords, c.gaps)

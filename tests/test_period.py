@@ -198,9 +198,10 @@ def test_contraction_route_forms_each_form_only_below_what_is_read(
                     fields[rng.randrange(n)] = zero
                 runs.append((ell1_n_contraction, fields,
                              [((-1) ** n, fields)]))
+        # weighted words, nu2's oracle on a representative
         rep = T2Rep(random_field(rng), [(random_field(rng),
                                          random_field(rng))])
-        runs.append((nu2, rep, rep.words()))
+        runs.append((period._contraction, rep.words(), rep.words()))
         for route, arg, words in runs:
             del products[:]
             route(arg, exp)
@@ -225,16 +226,26 @@ def test_contraction_route_forms_each_form_only_below_what_is_read(
 
 def test_contraction_route_forms_as_many_terms_at_any_precision(
         monkeypatch):
-    # the contraction route's work is bounded by its fields: at precision
-    # P and P + 100 it forms the same number of product terms
+    # the work of either route is bounded by its fields: at precision P
+    # and P + 100 the contraction route forms the same number of product
+    # terms, and the operator route of nu2 the same number of operator
+    # terms, as sums of pieces or products
     formed = []
 
     def counted_product(a, b, cap):
         r = product_below(a, b, cap)
         formed.append(len(r.coeffs))
         return r
+    sum_below = witt._sum_below
+
+    def counted_sum(pieces, cap):
+        r = sum_below(pieces, cap)
+        formed.append(len(r.coeffs))
+        return r
     monkeypatch.setattr(laurent, "product_below", counted_product)
     monkeypatch.setattr(period, "product_below", counted_product)
+    monkeypatch.setattr(witt, "product_below", counted_product)
+    monkeypatch.setattr(witt, "_sum_below", counted_sum)
     rng = random.Random(79)
     curve = HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1])
     f1, f2, f3, f4 = (random_field(rng) for _ in range(4))
@@ -242,11 +253,68 @@ def test_contraction_route_forms_as_many_terms_at_any_precision(
     counts, results = [], []
     for p in (default_precision(3), default_precision(3) + 100):
         exp = expand_curve(curve, p)
-        del formed[:]
-        results.append((ell2_via_lie(f1, f2, exp), nu2(rep, exp)))
-        counts.append(sum(formed))
-    assert counts[0] == counts[1] > 0
+        row, out = [], []
+        for route, arg in ((ell2_via_lie, (f1, f2)),
+                           (period._contraction, (rep.words(),)),
+                           (nu2, (rep,))):
+            del formed[:]
+            out.append(route(*arg, exp))
+            row.append(sum(formed))
+        counts.append(row)
+        results.append(out)
+    assert counts[0] == counts[1] and all(counts[0])
     assert results[0] == results[1]
+    assert results[0][1] == results[0][2]
+
+
+def test_nu2_refuses_long_fields_before_forming(monkeypatch):
+    # upsilon and a pair of n-term fields z^-(n-1) + ... + 1 known below
+    # z^1: no column is known at z^0. nu2 refuses as the contraction
+    # route does, and sums no piece before it refuses, at either n
+    formed = []
+    sum_below = witt._sum_below
+
+    def counted_sum(pieces, cap):
+        r = sum_below(pieces, cap)
+        formed.append(len(r.coeffs))
+        return r
+    monkeypatch.setattr(witt, "_sum_below", counted_sum)
+    for n in (40, 400):
+        f = WittElement(LaurentSeries({-i: 1 for i in range(n)}, 1))
+        rep = T2Rep(f, [(f, f.scaled(2))])
+        del formed[:]
+        got = outcome(nu2, rep, E5)
+        assert formed == []
+        assert got[0] is PrecisionExhausted
+        assert got == outcome(period._contraction, rep.words(), E5)
+
+
+def summed_rep(rep):
+    """The pieces nu2 collects for rep, by order."""
+    pieces = {}
+    for c, fields in rep.words():
+        if len(fields) == 1:
+            witt._collect_phi(fields[0], -c, pieces)
+        else:
+            witt._collect(phi(fields[1]), phi(fields[0]), 1, -c, pieces)
+    return pieces
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_refusal_before_rho_is_the_refusal_of_rho(exp, data):
+    # where the sketches decide a refusal, it is the one rho raises on the
+    # summed operator; where they do not, nothing is raised
+    field = mixed_fields(exp)
+    rep = T2Rep(data.draw(field),
+                data.draw(st.lists(st.tuples(field, field), max_size=3)))
+    pieces = summed_rep(rep)
+    early = outcome(hodge.refuse_before_rho,
+                    {k: witt._sketch(g, 1) for k, g in pieces.items()}, exp)
+    assert early is None or early == outcome(rho, witt._summed(pieces, 1),
+                                             exp)
 
 
 # --- full second jet and second fundamental form ---------------------------
@@ -273,6 +341,40 @@ def test_jet_image_equality_ignores_the_order_of_pairs_and_factors():
     assert JetImage(a, [(a, b), (c, a)]) != JetImage(a, [(a, c), (b, b)])
     assert JetImage(a, [(a, b)]) != JetImage(a, [(a, b), (a, b)])
     assert JetImage(a, [(a, b)]) != JetImage(b, [(a, b)])
+
+
+def key_by_fraction_rows(m):
+    """The canonical key the members are ordered by: the gaps, then the
+    rows of Fractions."""
+    return (tuple(m.basis_gaps), tuple(tuple(row) for row in m.entries))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_canonical_order_is_the_sort_by_the_fraction_rows(data):
+    # a small pool, so groups share factors and hold distinct matrices
+    # with equal keys; the denominators differ, so an order of the
+    # numerators would not be the order of the values
+    entry = st.fractions(-2, 2, max_denominator=3)
+    matrix = st.builds(
+        lambda rows, gaps: HomMatrix(rows, gaps),
+        st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2,
+                 max_size=2),
+        st.sampled_from([[1, 3], [1, 5]]))
+    pool = data.draw(st.lists(matrix, min_size=1, max_size=5))
+    pool += [HomMatrix(m.entries, m.basis_gaps) for m in pool[:2]]
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1),
+                                        min_size=1, max_size=3),
+                               max_size=5))
+    groups = [[pool[i] for i in g] for g in picks]
+    want = sorted([tuple(sorted(g, key=key_by_fraction_rows))
+                   for g in groups],
+                  key=lambda g: [key_by_fraction_rows(x) for x in g])
+    got = period._canonical(groups, period._hom_key)
+    # the same members in the same places, ties kept in their input order
+    assert [[id(x) for x in g] for g in got] == \
+        [[id(x) for x in g] for g in want]
+    assert all(type(g) is tuple for g in got)
 
 
 def test_fundamental_form():
@@ -515,6 +617,64 @@ def test_nu2_is_minus_rho_of_its_operator(exp, data):
     assert outcome(nu2, rep, exp) == outcome(minus_rho_of_rep, rep, exp)
 
 
+def mixed_fields(exp):
+    """Exact low-pole fields, zero fields, exact or known only below some
+    z^t, and fields near the refusal threshold (see
+    field_near_threshold)."""
+    exact = st.builds(
+        lambda es, cs: WittElement(LaurentSeries(dict(zip(es, cs)))),
+        st.lists(st.integers(-3, 6), min_size=1, max_size=3),
+        st.lists(st.fractions(-4, 4, max_denominator=5).filter(bool),
+                 min_size=3, max_size=3))
+    zero = st.builds(lambda t: WittElement(LaurentSeries.zero(t)),
+                     st.just(INF) | st.integers(-3, 4))
+    return exact | zero | field_near_threshold(exp)
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_nu2_operator_route_is_its_contraction_oracle(exp, data):
+    # the operator route of nu2 gives the matrix, or the refusal, of the
+    # contraction route on the same words, where no two words cancel (see
+    # test_nu2_is_unchanged_by_a_pair_and_its_negative)
+    field = mixed_fields(exp)
+    if data.draw(st.booleans()):
+        rep = canonical_second_rep(data.draw(field), data.draw(field))
+    else:
+        rep = T2Rep(data.draw(field),
+                    data.draw(st.lists(st.tuples(field, field), max_size=2)))
+    assert outcome(nu2, rep, exp) == \
+        outcome(period._contraction, rep.words(), exp)
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_nu2_is_unchanged_by_a_pair_and_its_negative(exp, data):
+    # the words of (xi, zeta) and (-xi, zeta) cancel exactly when xi and
+    # zeta are exact, and nu2 sums the pieces before the min-rule reads
+    # their orders: it is the nu2 of the representative without them.
+    # The contraction route takes each word's truncation, and may refuse.
+    # Poles near precision / 2 put the cancelling products beyond what
+    # the g_j are known for, so an order read off the uncancelled pieces
+    # would refuse
+    field = mixed_fields(exp)
+    half = exp.precision // 2
+    exact = field.filter(lambda f: f.f.trunc is INF) | st.builds(
+        lambda es, c: WittElement(LaurentSeries({e: c for e in es})),
+        st.sets(st.integers(-half - 2, -half + 2), min_size=1, max_size=2),
+        st.fractions(-4, 4, max_denominator=5).filter(bool))
+    rep = T2Rep(data.draw(field),
+                data.draw(st.lists(st.tuples(field, field), max_size=2)))
+    xi, zeta = data.draw(exact), data.draw(exact)
+    padded = T2Rep(rep.upsilon,
+                   rep.sym_pairs + [(xi, zeta), (xi.scaled(-1), zeta)])
+    assert outcome(nu2, padded, exp) == outcome(nu2, rep, exp)
+
+
 @pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -523,15 +683,7 @@ def test_contraction_matches_full_length_reference(exp, data):
     # fields among them keep some order-3 and order-4 words reducible, and
     # zero fields, exact or known only below some z^t, bound what the
     # steps before them read
-    exact = st.builds(
-        lambda es, cs: WittElement(LaurentSeries(dict(zip(es, cs)))),
-        st.lists(st.integers(-3, 6), min_size=1, max_size=3),
-        st.lists(st.fractions(-4, 4, max_denominator=5).filter(bool),
-                 min_size=3, max_size=3))
-    zero = st.builds(lambda t: WittElement(LaurentSeries.zero(t)),
-                     st.just(INF) | st.integers(-3, 4))
-    fields = data.draw(st.lists(exact | zero | field_near_threshold(exp),
-                                max_size=3))
+    fields = data.draw(st.lists(mixed_fields(exp), max_size=3))
     fields.append(data.draw(field_near_threshold(exp)))
     assert outcome(ell1_n_contraction, fields, exp) == \
         outcome(full_contraction, fields, exp)

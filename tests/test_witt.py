@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from periodjet.laurent import (
     INF, LaurentSeries, PrecisionExhausted, derive, symplectic_pair)
+from periodjet import witt
 from periodjet.witt import (
     DiffOp, WittElement, diffop_apply, diffop_compose, phi, sp_witness,
     witt_bracket)
 
-from series_reference import full_compose
+from series_reference import full_bracket, full_compose
 
 
 def random_field(rng, lo=-5, hi=6, nterms=3):
@@ -229,12 +230,22 @@ def compose_operators(draw):
     return DiffOp(terms)
 
 
+# the weights of the words a composition is collected with: 1, -1, the
+# 1/2 of a symmetric pair, and a general p/q
+WEIGHTS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
+                           Fraction(-1, 2)]) | RATIONALS.filter(bool)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(compose_operators(), compose_operators(),
-       st.one_of(st.just(INF), st.integers(-14, 16)))
-def test_compose_is_the_truncated_leibniz_reference(w, v, below):
-    got = diffop_compose(w, v, below)
-    full = full_compose(w, v)
+       st.one_of(st.just(INF), st.integers(-14, 16)), WEIGHTS)
+def test_compose_is_the_truncated_leibniz_reference(w, v, below, c):
+    pieces = {}
+    witt._collect(w, v, below, c, pieces)
+    got = witt._summed(pieces, below)
+    if c == 1:
+        assert diffop_compose(w, v, below) == got
+    full = full_compose(w, v).scaled(c)
     # an order whose full coefficient is exact zero is absent from it
     zero = LaurentSeries.zero()
     orders = got.terms.keys() | full.terms.keys()
@@ -244,6 +255,61 @@ def test_compose_is_the_truncated_leibniz_reference(w, v, below):
         assert a.trunc is INF or type(a.trunc) is int
         assert all(type(e) is int and type(c) is Fraction and c and
                    e < a.trunc for e, c in a.coeffs.items())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(compose_operators(), compose_operators(),
+       st.one_of(st.just(INF), st.integers(-14, 16)), WEIGHTS,
+       st.booleans())
+def test_sketch_is_the_truncation_and_order_of_the_sum(
+        w, v, below, c, cancel):
+    # read off the pieces without forming them, the sketch of each order
+    # is its sum's truncation and min-rule order, or a bound below that
+    # order where lowest terms cancel; collecting w o v at c and -c
+    # cancels them all
+    pieces = {}
+    witt._collect(w, v, below, c, pieces)
+    if cancel:
+        witt._collect(w, v, below, -c, pieces)
+    for group in pieces.values():
+        total = witt._sum_below(group, below)
+        t, o, exact = witt._sketch(group, below)
+        assert total.trunc == t
+        if exact:
+            assert total.min_rule_order() == o
+        else:
+            assert total.min_rule_order() > o
+
+
+@st.composite
+def bracket_pairs(draw):
+    """Two fields whose coefficients are drawn as compose_coefficients,
+    or exact zero; some pairs are a and r a + s, with s a one-term field
+    or zero, so that the two products cancel in whole or in part."""
+    coefficient = compose_coefficients() | st.just(LaurentSeries.zero())
+    a = draw(coefficient)
+    if draw(st.booleans()):
+        r = draw(RATIONALS.filter(bool))
+        s = draw(st.sampled_from([LaurentSeries.zero()]) |
+                 st.builds(LaurentSeries.monomial, st.integers(-6, 6),
+                           RATIONALS.filter(bool)))
+        b = a.scaled(r) + s
+    else:
+        b = draw(coefficient)
+    pair = [WittElement(a), WittElement(b)]
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(bracket_pairs())
+def test_bracket_is_the_fraction_reference(pair):
+    a, b = pair
+    got = witt_bracket(a, b)
+    assert got == WittElement(full_bracket(a, b))
+    f = got.f  # the constructor's invariant
+    assert f.trunc is INF or type(f.trunc) is int
+    assert all(type(e) is int and type(c) is Fraction and c and e < f.trunc
+               for e, c in f.coeffs.items())
 
 
 def test_diffop_constructor_invariants():
