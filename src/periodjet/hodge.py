@@ -42,6 +42,9 @@ pole beyond the basis window, rho reduces alpha(g_j) itself, so the
 matrix, and any exception, is the one the full alpha(g_j) gives.
 refuse_before_rho raises that PrecisionExhausted from sketches of
 alpha's coefficients, before alpha is formed, where they decide it.
+The operator route hands its sum to _rho as witt's integer numerators,
+one denominator per order; the public rho brings a DiffOp's
+coefficients to them once.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
 with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>, the D of
@@ -59,7 +62,7 @@ from math import gcd, lcm
 
 from .laurent import LaurentSeries, PrecisionExhausted, invert, rational_to_str
 from .linalg import det, row_echelon
-from .witt import DiffOp, diffop_apply
+from .witt import DiffOp, _numerators, diffop_apply
 
 
 class UnreducibleExponent(Exception):
@@ -346,13 +349,19 @@ def refuse_before_rho(sketches, exp):
     does not rest on an order the sketch leaves open, reduce_O raises
     on column j, and this raises the same, provided each column before
     it is known below z^1 and reaches no pole beyond the basis window.
+    When every order clears z^1 against the smallest order and the
+    smallest truncation over the g_j^(k), so does every column, and it
+    returns at once.
     """
+    orders = {k: _derivative_orders(exp, k) for k in sketches}
+    if all(t + orders[k][0] >= 1 and orders[k][1] + o >= 1
+           for k, (t, o, _) in sketches.items()):
+        return
     window = exp.precision - 2
-    columns = {k: _derivative_orders(exp, k)[2] for k in sketches}
     for j in range(len(exp.h10_basis)):
         trunc, known, deepest = 1, True, 1
         for k, (t, o, exact) in sketches.items():
-            og, tg = columns[k][j]
+            og, tg = orders[k][2][j]
             for bound, sure in ((t + og, True), (tg + o, exact)):
                 if bound < trunc:
                     trunc, known = bound, sure
@@ -384,9 +393,10 @@ def _table_entry(exp, k, e):
     return entry
 
 
-def _table_rho(op, exp):
-    """rho(op) as sum a_(k,e) rho(z^e D^k), or None when a column might
-    not reduce.
+def _table_rho(ops, exp):
+    """rho of the operator whose order-k coefficient is ops[k], a
+    _Numerators, as sum a_(k,e) rho(z^e D^k), or None when a column
+    might not reduce.
 
     Column j of the per-column path is known below the smallest of 1,
     trunc a_k + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no
@@ -394,31 +404,34 @@ def _table_rho(op, exp):
     truncation is 1 and every such pole order is within the basis window
     precision - 2 (checked with the smallest order and truncation over
     the g_j^(k)), reduce_O is linear on the columns and on every table
-    entry they need, and none of them raises. A term whose products have
-    no pole adds nothing to a class and is skipped.
+    entry they need, and none of them raises; so an order that passes
+    these checks reads its entries before the next order is checked. A
+    term whose products have no pole adds nothing to a class and is
+    skipped.
 
-    The sum runs on integer numerators over one denominator, the lcm of
-    the terms' a_(k,e).denominator * d, and the matrix keeps them, brought
-    to lowest terms once.
+    The sum runs on integer numerators over one denominator. Order k
+    reads its terms (e, n) over a_k.den, each against a table entry over
+    its d, so the term is over a_k.den * d, and one lcm per order brings
+    its terms into the common denominator; the matrix keeps the sum,
+    brought to lowest terms once.
     """
     window = exp.precision - 2
-    terms = []
-    for k, a in op.terms.items():
+    scaled, den = [], 1
+    for k, a in ops.items():
         o, t, _ = _derivative_orders(exp, k)
-        lowest = a.order()
-        if a.trunc + o < 1 or t + (a.trunc if lowest is None else lowest) < 1:
+        if a.trunc + o < 1 or t + a.min_rule_order() < 1:
             return None
-        if lowest is not None and lowest + o < -window:
+        if a.terms and a.terms[0][0] + o < -window:
             return None
-        terms.extend((k, e, c) for e, c in a.coeffs.items() if e + o < 0)
-    scaled = []
-    den = 1
-    for k, e, c in terms:
-        d, entry = _table_entry(exp, k, e)
-        if entry:
-            d *= c.denominator
-            den = lcm(den, d)
-            scaled.append((c.numerator, d, entry))
+        read = []
+        for e, n in a.terms:
+            if e + o >= 0:
+                break
+            d, entry = _table_entry(exp, k, e)
+            if entry:
+                read.append((n, a.den * d, entry))
+        den = lcm(den, *[d for _, d, _ in read])
+        scaled += read
     gaps = _gaps_O(exp)
     g = len(gaps)
     acc = [0] * (g * g)
@@ -429,18 +442,27 @@ def _table_rho(op, exp):
     return HomMatrix._trusted(acc, den, gaps)
 
 
+def _rho(ops, exp):
+    """rho of the operator whose order-k coefficient is ops[k], a
+    _Numerators: read off the table where that is exact (see
+    _table_rho), otherwise each column reduced from the operator's
+    series."""
+    m = _table_rho(ops, exp)
+    if m is None:
+        op = DiffOp({k: a.series() for k, a in ops.items()})
+        m = HomMatrix.from_columns(_columns(op, exp), _gaps_O(exp))
+    return m
+
+
 def rho(op, exp):
     """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O).
 
     A sum over the expansion's table of monomial-operator matrices where
     that is exact (see _table_rho), otherwise op(g_j) reduced column by
     column: the matrix, and any exception, is the one the full op(g_j)
-    gives.
+    gives. op's coefficients are brought to integer numerators once.
     """
-    m = _table_rho(op, exp)
-    if m is None:
-        m = HomMatrix.from_columns(_columns(op, exp), _gaps_O(exp))
-    return m
+    return _rho(_numerators(op.terms), exp)
 
 
 def is_symmetric_hom(hom, exp):

@@ -12,31 +12,32 @@ the last form (Cartan: L_zeta omega = d(zeta -| omega)) being the one
 formed: one product, with the min-rule truncation of the other two.
 
 Every differential is a HomMatrix (or a formal sum of symmetrized products
-of them). Two independent prescriptions exist for each order and the
-module implements each once:
+of them). Two independent prescriptions exist for each order, and the
+module implements each once, on a weighted sum of field words
+(c, [f1, ..., fn]):
 
-    operator route      ell1_n: compose first-order operators phi(zeta_i),
-                        feed the reversed composition to rho, with sign
-                        (-1)^(n-1). The production route; nu1 and ell2 are
-                        its cases n = 1 and n = 2, and nu2 runs it on its
-                        representative's words.
-    contraction route   ell1_n_contraction: iterate the Lie derivative on
-                        the form and contract with the last field, with
-                        sign (-1)^n, then reduce. The cross-check oracle;
-                        ell2_via_lie is its case n = 2, and _contraction
-                        on a representative's words is nu2's oracle.
+    operator route      _operator(words): rho of
+                        sum c phi(fn) o ... o phi(f1), the compositions
+                        kept as integer numerators from the first field to
+                        the rho table. The production route: ell1_n is its
+                        single word ((-1)^(n-1), [f1, ..., fn]), nu1 and
+                        ell2 are ell1_n at n = 1 and n = 2, and nu2 is its
+                        representative's words (-c, w).
+    contraction route   _contraction(words): reduce
+                        sum c [fn -| L_f(n-1) ... L_f1 omega_j] once per
+                        column. The cross-check oracle:
+                        ell1_n_contraction is its single word
+                        ((-1)^n, [f1, ..., fn]), ell2_via_lie its case
+                        n = 2, and on a representative's words it is nu2's
+                        oracle.
 
 Both routes form each step only below the bound the next step reads (see
 _bounds), so the last one, the operator handed to rho or the contraction
 handed to reduce_O, is formed only below z^1.
 
 A second-order representative is a weighted sum of field words
-(c, [f1, ..., fn]) (T2Rep.words): upsilon alone, and each symmetric pair
-in both orders with weight 1/2. nu2 sums their operators
--c phi(fn) o ... o phi(f1) in one integer pass and hands the sum to rho.
-Its oracle, _contraction, reduces sum c [fn -| L_f(n-1) ... L_f1 omega_j]
-once per column; ell1_n_contraction is its single word
-(-1)^n [f1, ..., fn].
+(T2Rep.words): upsilon alone, and each symmetric pair in both orders
+with weight 1/2.
 
 The two agree identically (L_zeta d(u) = d(phi(zeta) u)), which is the
 cross-check the acceptance suite pins. All remaining global signs are +1;
@@ -51,16 +52,21 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .hodge import (
-    HomMatrix, _gaps_O, hom_to_json, reduce_O, refuse_before_rho, rho)
+    HomMatrix, _gaps_O, _rho, hom_to_json, reduce_O, refuse_before_rho)
 from .laurent import INF, LaurentSeries, derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
 from .witt import (
-    WittElement, _collect, _collect_phi, _sketch, _summed, diffop_compose,
-    phi, witt_bracket)
+    WittElement, _collect, _compose, _Numerators, _numerators, _sketch,
+    _summed, witt_bracket)
 
 # the highest differential order the order-n entry points take
 DEFAULT_MAX_ORDER = 4
+
+
+# the exact series 1 as _Numerators: a one-field word c [f] is the
+# piece (c, f, 1)
+_ONE = _Numerators(1, [(0, 1)], INF)
 
 
 class UnsupportedOrder(Exception):
@@ -230,34 +236,19 @@ def nu2(rep, exp):
     operator route on the representative's words (T2Rep.words),
 
         -rho( phi(upsilon) + sum_i (1/2)(phi(xi_i) o phi(zeta_i)
-                                         + phi(zeta_i) o phi(xi_i)) ).
+                                         + phi(zeta_i) o phi(xi_i)) ),
 
-    The words' operators are summed in one integer pass: the Leibniz
-    pieces of each pair's composition, formed below z^1 as ell1_n forms
-    its last one, and the order-1 term phi(upsilon) go into one dict with
-    weight -c, and each order is summed once below z^1 (see
-    witt._sum_below). Before that, the sketch of each order's sum (see
-    witt._sketch) decides rho's PrecisionExhausted where it can
-    (hodge.refuse_before_rho), so fields known too little for z^1 are
-    refused without forming a product. rho reads the sum off its table
-    where it can. The contraction route on the same words, _contraction,
-    is the oracle. The min-rule reads the orders of the summed
-    coefficients, so where words cancel nu2 can answer where the
-    contraction route, which takes each word's truncation, refuses.
+    that is _operator on the words (-c, w). The contraction route on the
+    same words, _contraction, is the oracle. The min-rule reads the
+    orders of the summed coefficients, so where words cancel nu2 can
+    answer where the contraction route, which takes each word's
+    truncation, refuses.
 
     The + on the upsilon coupling makes nu2(canonical_second_rep(z, x))
     equal ell2(z, x) identically; with a - it would differ by twice the
     upsilon term.
     """
-    pieces = {}
-    for c, fields in rep.words():
-        if len(fields) == 1:
-            _collect_phi(fields[0], -c, pieces)
-        else:  # phi(f2) o phi(f1), the last composition of the word
-            _collect(phi(fields[1]), phi(fields[0]), 1, -c, pieces)
-    refuse_before_rho({k: _sketch(group, 1) for k, group in pieces.items()},
-                      exp)
-    return rho(_summed(pieces, 1), exp)
+    return _operator([(-c, fields) for c, fields in rep.words()], exp)
 
 
 def _order(fields):
@@ -291,24 +282,61 @@ def _bounds(last, fields):
 def ell1_n(fields, exp):
     """Order-n linear differential, operator route:
 
-        (-1)^(n-1) rho( phi(zeta_n) o ... o phi(zeta_1) ).
+        (-1)^(n-1) rho( phi(zeta_n) o ... o phi(zeta_1) ),
 
-    rho reads each coefficient a_k of the composition only below
+    _operator on the single word ((-1)^(n-1), fields).
+    """
+    return _operator([((-1) ** (_order(fields) - 1), fields)], exp)
+
+
+def _pieces(words):
+    """The Leibniz pieces of the last step of each field word
+    c phi(fn) o ... o phi(f1), formed below z^1 at weight c, in one dict
+    by order (see witt._collect); a one-field word is the piece
+    (c, f1, 1).
+
+    rho reads each coefficient a_k of the words' sum only below
     z^(1 - ord g_j^(k)), ord g_j^(k) being the smallest over j, and that
     order is >= 0: the g_j have no exponent below 1 and are known below
-    precision + 1, beyond n >= k. So the last composition is formed only
-    below z^1 (see witt.diffop_compose). Formed below z^w, the
-    composition with phi(zeta_s) reads its right factor only below
-    z^(w - ord zeta_s + 1), and that factor is formed below this bound in
-    turn (see _bounds).
+    precision + 1, beyond n >= k. So the last composition of each word
+    is formed only below z^1. Formed below z^w, the composition with
+    phi(fs) reads its right factor only below z^(w - ord fs + 1), and
+    that factor is composed on witt's kernel below this bound in turn
+    (see _bounds).
     """
-    n = _order(fields)
-    # the sign rides on the first field: negating it keeps every order
-    # and truncation, so the refusals are those of the unsigned operator
-    op = phi(fields[0] if n % 2 else -fields[0])
-    for zeta, below in zip(fields[1:], _bounds(1, fields[2:])):
-        op = diffop_compose(phi(zeta), op, below)
-    return rho(op, exp)
+    pieces = {}
+    for c, fields in words:
+        ops = [_numerators({1: zeta.f}) for zeta in fields]
+        op = ops[0]
+        for step, below in zip(ops[1:-1], _bounds(1, fields[2:])):
+            op = _compose(step, op, below)
+        if len(ops) > 1:
+            _collect(ops[-1], op, 1, c, pieces)
+        elif op:
+            pieces.setdefault(1, []).append((c, op[1], _ONE))
+    return pieces
+
+
+def _operator(words, exp):
+    """rho of a sum of field words c phi(fn) o ... o phi(f1), on
+    integer numerators from the first field to the rho table.
+
+    Before any order of the words' last pieces (see _pieces) is summed,
+    the sketch of each order's sum (see witt._sketch) decides rho's
+    PrecisionExhausted where it can (hodge.refuse_before_rho), so fields
+    known too little for z^1 are refused without forming their last
+    products. Then each order is summed once below z^1, and rho reads
+    the sum off its table where it can. A lone one-field word c [f] has
+    nothing to sum: rho reads c f itself, and raises what the sketch
+    would.
+    """
+    if len(words) == 1 and len(words[0][1]) == 1:
+        (c, (zeta,)), = words
+        return _rho(_numerators({1: zeta.f.scaled(c)}), exp)
+    pieces = _pieces(words)
+    refuse_before_rho({k: _sketch(group, 1) for k, group in pieces.items()},
+                      exp)
+    return _rho(_summed(pieces, 1), exp)
 
 
 def _contraction(words, exp):

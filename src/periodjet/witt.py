@@ -20,19 +20,23 @@ certificate, not a proof of membership in sp(H'). Every phi-image passes
 Res(f x'y' + x(fy')') = Res (xfy')' = 0), while the genuinely
 non-symplectic second derivative g -> g'' fails already at radius 4.
 
-One kernel serves the operator route (period.ell1_n and period.nu2)
-and the bracket: _collect gathers the Leibniz pieces of a weighted
-composition by order, and _sum_below sums the pieces of each order on
-integer numerators and normalizes one Fraction per coefficient.
-diffop_compose is the two with weight 1, and witt_bracket sums the
-pieces f_a f_b' and -f_b f_a'. _sketch reads the truncation and the
-order of such a sum off its pieces without forming it, which lets
-period.nu2 refuse before it sums. diffop_apply and the contraction
-route keep Fraction products.
+One integer kernel serves the operator route (period._operator, behind
+ell1_n and nu2) and the bracket. An operator's coefficients are held
+as _Numerators, integers over one denominator per order: _collect
+gathers the Leibniz pieces of a weighted composition by order, and
+_sum_below sums the pieces of each order on those integers into the
+next _Numerators, so a chain of compositions (_compose, the two at
+weight 1) stays numerators from the first field to hodge's rho table.
+diffop_compose is _compose between _Numerators.of and one LaurentSeries
+per order, and witt_bracket sums the pieces f_a f_b' and -f_b f_a'.
+_sketch reads the truncation and the order of such a sum off its pieces
+without forming it, which lets the operator route refuse before it
+sums. diffop_apply and the contraction route keep Fraction products.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .laurent import (
     INF, LaurentSeries, _require_residue, derive, product_below)
@@ -125,9 +129,6 @@ class DiffOp(object):
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, c):
-        return DiffOp({k: a.scaled(c) for k, a in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -144,7 +145,7 @@ def witt_bracket(a, b):
     _sum_below with no cap."""
     na, nb = _Numerators.of(a.f), _Numerators.of(b.f)
     return WittElement(_sum_below([(1, na, nb.derive()),
-                                   (-1, nb, na.derive())], INF))
+                                   (-1, nb, na.derive())], INF).series())
 
 
 def phi(zeta):
@@ -175,10 +176,10 @@ def diffop_apply(op, g, below=INF):
 
 
 class _Numerators(object):
-    """A factor of diffop_compose as integers over one denominator: its
-    stored terms as (e, n) in ascending exponent, the coefficient at z^e
-    being n/den, with den the lcm of the coefficients' denominators, and
-    its truncation."""
+    """A series as integers over one common denominator: its stored
+    terms as (e, n) in ascending exponent, the coefficient at z^e being
+    n/den, and its truncation. Every coefficient is nonzero; den is
+    positive, a multiple of every coefficient's denominator."""
 
     __slots__ = ("den", "terms", "trunc")
 
@@ -187,82 +188,83 @@ class _Numerators(object):
 
     @classmethod
     def of(cls, s):
+        """s over the lcm of its coefficients' denominators."""
         terms = sorted(s.coeffs.items())
         den = lcm(*[c.denominator for _, c in terms])
         return cls(den, [(e, c.numerator * (den // c.denominator))
                          for e, c in terms], s.trunc)
+
+    def series(self):
+        """The LaurentSeries, one Fraction normalized per term."""
+        return LaurentSeries._trusted(
+            {e: Fraction(n, self.den) for e, n in self.terms}, self.trunc)
 
     def derive(self):
         """The derivative over the same denominator."""
         return _Numerators(self.den, [(e - 1, n * e) for e, n in self.terms
                                       if e], self.trunc - 1)
 
+    def truncate(self, trunc):
+        """The terms below z^trunc, as LaurentSeries.truncate keeps them,
+        over the same denominator."""
+        if trunc >= self.trunc:
+            return self
+        # (trunc,) sorts before every (trunc, n): the cut is at e >= trunc
+        return _Numerators(self.den,
+                           self.terms[:bisect_left(self.terms, (trunc,))],
+                           trunc)
+
     def min_rule_order(self):
         return self.terms[0][0] if self.terms else self.trunc
 
 
+def _numerators(terms):
+    """An operator's coefficients, given by order, as _Numerators; an
+    exact zero is no term, as in DiffOp."""
+    return {k: _Numerators.of(a) for k, a in terms.items()
+            if a.coeffs or a.trunc is not INF}
+
+
 def _sum_below(pieces, cap):
-    """sum c * a * b over the pieces (c, a, b), c an int or a Fraction,
-    truncated at cap, as adding the products as series gives it: the
-    truncation is the smallest of cap and the pieces' min-rule
-    truncations, and sums that cancel to zero are dropped.
+    """sum c * a * b over the pieces (c, a, b) of _Numerators a and b,
+    c an int or a Fraction, truncated at cap, as adding the products as
+    series gives it: the truncation is the smallest of cap and the
+    pieces' min-rule truncations, and sums that cancel to zero are
+    dropped.
 
-    A piece of LaurentSeries is formed by product_below, where a one-term
-    factor is a shift. The pieces of _Numerators are summed as ints over
-    one denominator, the lcm of their c.denominator * a.den * b.den, below
-    the smallest of cap and their min-rule truncations, each walk stopping
-    where product_below's would, and one Fraction is normalized per
-    coefficient.
+    The products are summed as ints over one denominator, the lcm of the
+    pieces' c.denominator * a.den * b.den, below that truncation, each
+    walk over a and b stopping at the first pair at or above it. The sum
+    is a _Numerators brought to lowest terms by one gcd, so its den is
+    the lcm of its coefficients' denominators, and 1 when it has no
+    terms.
     """
-    parts, on_ints = [], []
+    t, den, formed = cap, 1, []
     for c, a, b in pieces:
-        if isinstance(a, _Numerators):
-            on_ints.append((c, a, b))
-        else:
-            piece = product_below(a, b, cap)
-            parts.append(piece if c == 1 else piece.scaled(c))
-    if on_ints:
-        t = min(cap, min(min(a.trunc + b.min_rule_order(),
-                             b.trunc + a.min_rule_order())
-                         for _, a, b in on_ints))
-        den = lcm(*[c.denominator * a.den * b.den for c, a, b in on_ints])
-        acc = {}
-        for c, a, b in on_ints:
-            if not b.terms:
-                continue
-            scale = c.numerator * (den // (c.denominator * a.den * b.den))
-            lowest = b.terms[0][0]
-            for e1, n1 in a.terms:
-                limit = t - e1
-                if lowest >= limit:
+        t = min(t, a.trunc + b.min_rule_order(), b.trunc + a.min_rule_order())
+        if a.terms and b.terms:
+            formed.append((c, a, b))
+            den = lcm(den, c.denominator * a.den * b.den)
+    acc = {}
+    for c, a, b in formed:
+        scale = c.numerator * (den // (c.denominator * a.den * b.den))
+        lowest = b.terms[0][0]
+        for e1, n1 in a.terms:
+            limit = t - e1
+            if lowest >= limit:
+                break
+            n1 *= scale
+            for e2, n2 in b.terms:
+                if e2 >= limit:
                     break
-                n1 *= scale
-                for e2, n2 in b.terms:
-                    if e2 >= limit:
-                        break
-                    e = e1 + e2
-                    acc[e] = acc.get(e, 0) + n1 * n2
-        parts.append(LaurentSeries._trusted(
-            {e: Fraction(n, den) for e, n in acc.items() if n}, t))
-    total = parts[0]
-    for piece in parts[1:]:
-        total = total + piece
-    return total
-
-
-def _lowest(x):
-    """The lowest stored term of a factor of _sum_below as (e, n, d), its
-    coefficient being n/d, or None when it has none."""
-    if isinstance(x, _Numerators):
-        if not x.terms:
-            return None
-        e, n = x.terms[0]
-        return e, n, x.den
-    if not x.coeffs:
-        return None
-    e = min(x.coeffs)
-    c = x.coeffs[e]
-    return e, c.numerator, c.denominator
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + n1 * n2
+    terms = sorted((e, n) for e, n in acc.items() if n)
+    common = gcd(den, *[n for _, n in terms])
+    if common != 1:
+        den //= common
+        terms = [(e, n // common) for e, n in terms]
+    return _Numerators(den, terms, t)
 
 
 def _sketch(pieces, cap):
@@ -275,15 +277,14 @@ def _sketch(pieces, cap):
     """
     t, low = cap, {}
     for w, a, b in pieces:
-        la, lb = _lowest(a), _lowest(b)
-        t = min(t, a.trunc + (lb[0] if lb else b.trunc),
-                b.trunc + (la[0] if la else a.trunc))
-        if la and lb:
-            e = la[0] + lb[0]
-            n, d = low.get(e, (0, 1))
-            pn = w.numerator * la[1] * lb[1]
-            pd = w.denominator * la[2] * lb[2]
-            low[e] = (n * pd + pn * d, d * pd)
+        t = min(t, a.trunc + b.min_rule_order(),
+                b.trunc + a.min_rule_order())
+        if a.terms and b.terms:
+            (ea, na), (eb, nb) = a.terms[0], b.terms[0]
+            n, d = low.get(ea + eb, (0, 1))
+            pn = w.numerator * na * nb
+            pd = w.denominator * a.den * b.den
+            low[ea + eb] = (n * pd + pn * d, d * pd)
     o = min((e for e in low if e < t), default=t)
     return t, o, o == t or low[o][0] != 0
 
@@ -291,53 +292,47 @@ def _sketch(pieces, cap):
 def _collect(w, v, below, weight, pieces):
     """Add the Leibniz pieces of weight * (w o v), formed below z^below,
     to pieces, a dict from each order to its list of pieces (c, a, b) as
-    _sum_below takes them.
+    _sum_below takes them. w and v map each order to its coefficient as
+    _Numerators.
 
     a_k D^k (b_m D^m) = a_k sum_{i=0..k} C(k,i) b_m^(k-i) D^(m+i), so order
     m+i collects (weight * C(k,i), a_k, derive^{k-i}(b_m)) over all
     (k, m). The product with a_k reads b_m^(k-i) only below
     z^(below - ord a_k), that is b_m below z^(below - ord a_k + k), so
-    b_m is truncated there before it is differentiated (see
-    laurent.product_below). Where a_k or b_m has one stored term, the
-    piece holds the series, and _sum_below forms it as a shift.
-    Otherwise a_k and b_m are each brought once to integer numerators
-    over one denominator, and b_m is differentiated on them.
+    b_m is truncated there before it is differentiated, on its
+    numerators.
     """
-    for k, a in w.terms.items():
-        a_ints = _Numerators.of(a) if len(a.coeffs) != 1 else None
-        for m, b in v.terms.items():
+    for k, a in w.items():
+        for m, b in v.items():
             if below < INF:
                 b = b.truncate(below - a.min_rule_order() + k)
-            if a_ints is None or len(b.coeffs) == 1:
-                factor, derivatives, step = a, [b], derive
-            else:
-                factor, derivatives, step = \
-                    a_ints, [_Numerators.of(b)], _Numerators.derive
+            derivatives = [b]
             for _ in range(k):
-                derivatives.append(step(derivatives[-1]))
+                derivatives.append(derivatives[-1].derive())
             # derivatives[j] = b^(j)
             for i in range(k + 1):
                 pieces.setdefault(m + i, []).append(
-                    (weight * comb(k, i), factor, derivatives[k - i]))
-
-
-def _collect_phi(zeta, weight, pieces):
-    """Add weight * phi(zeta) to pieces: its one coefficient f as the
-    product of f with the exact series 1, on integer numerators."""
-    pieces.setdefault(1, []).append(
-        (weight, _Numerators.of(zeta.f), _Numerators.of(LaurentSeries.one())))
+                    (weight * comb(k, i), a, derivatives[k - i]))
 
 
 def _summed(pieces, below):
-    """The operator whose order-k coefficient sums the pieces collected
-    for k, below z^below (see _sum_below)."""
-    return DiffOp({k: _sum_below(group, below)
-                   for k, group in pieces.items()})
+    """The coefficient of each order collected in pieces, summed below
+    z^below (see _sum_below)."""
+    return {k: _sum_below(group, below) for k, group in pieces.items()}
+
+
+def _compose(w, v, below):
+    """w o v below z^below, operators held as _Numerators per order: the
+    pieces of _collect at weight 1, summed per order by _sum_below."""
+    pieces = {}
+    _collect(w, v, below, 1, pieces)
+    return _summed(pieces, below)
 
 
 def diffop_compose(w, v, below=INF):
-    """The operator g -> w(v(g)), expanded by the Leibniz rule: the
-    pieces of _collect at weight 1, summed per order by _sum_below.
+    """The operator g -> w(v(g)), expanded by the Leibniz rule: _compose
+    between the coefficients as _Numerators and one LaurentSeries per
+    order.
 
     With a finite bound, only the terms below z^below are formed, and the
     result is the full composition with every coefficient truncated at
@@ -346,9 +341,8 @@ def diffop_compose(w, v, below=INF):
     the truncation that adding its pieces as series gives, the smallest
     of their min-rule truncations.
     """
-    pieces = {}
-    _collect(w, v, below, 1, pieces)
-    return _summed(pieces, below)
+    op = _compose(_numerators(w.terms), _numerators(v.terms), below)
+    return DiffOp({k: a.series() for k, a in op.items()})
 
 
 def sp_witness(op, radius):

@@ -81,6 +81,11 @@ def full_compose(w, v):
     return DiffOp(acc)
 
 
+def scaled(op, c):
+    """c * op, every coefficient scaled by c."""
+    return DiffOp({k: a.scaled(c) for k, a in op.terms.items()})
+
+
 def full_bracket(a, b):
     """The coefficient f_a f_b' - f_b f_a' of [a, b], by series
     subtraction of two full_products."""

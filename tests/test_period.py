@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -24,7 +25,8 @@ from periodjet.witt import (
     DiffOp, WittElement, diffop_compose, phi, witt_bracket)
 
 from series_reference import (
-    full_contraction, full_nu2, full_operator_route, full_rho, lie_on_form)
+    full_contraction, full_nu2, full_operator_route, full_rho, lie_on_form,
+    scaled)
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -240,7 +242,7 @@ def test_contraction_route_forms_as_many_terms_at_any_precision(
 
     def counted_sum(pieces, cap):
         r = sum_below(pieces, cap)
-        formed.append(len(r.coeffs))
+        formed.append(len(r.terms))
         return r
     monkeypatch.setattr(laurent, "product_below", counted_product)
     monkeypatch.setattr(period, "product_below", counted_product)
@@ -276,7 +278,7 @@ def test_nu2_refuses_long_fields_before_forming(monkeypatch):
 
     def counted_sum(pieces, cap):
         r = sum_below(pieces, cap)
-        formed.append(len(r.coeffs))
+        formed.append(len(r.terms))
         return r
     monkeypatch.setattr(witt, "_sum_below", counted_sum)
     for n in (40, 400):
@@ -289,32 +291,98 @@ def test_nu2_refuses_long_fields_before_forming(monkeypatch):
         assert got == outcome(period._contraction, rep.words(), E5)
 
 
-def summed_rep(rep):
-    """The pieces nu2 collects for rep, by order."""
-    pieces = {}
-    for c, fields in rep.words():
-        if len(fields) == 1:
-            witt._collect_phi(fields[0], -c, pieces)
-        else:
-            witt._collect(phi(fields[1]), phi(fields[0]), 1, -c, pieces)
-    return pieces
-
-
 @pytest.mark.parametrize("exp", [E5, E7, ED],
                          ids=["x5+1", "x7-x+1", "dense-g3"])
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_refusal_before_rho_is_the_refusal_of_rho(exp, data):
     # where the sketches decide a refusal, it is the one rho raises on the
-    # summed operator; where they do not, nothing is raised
-    field = mixed_fields(exp)
-    rep = T2Rep(data.draw(field),
-                data.draw(st.lists(st.tuples(field, field), max_size=3)))
-    pieces = summed_rep(rep)
-    early = outcome(hodge.refuse_before_rho,
-                    {k: witt._sketch(g, 1) for k, g in pieces.items()}, exp)
-    assert early is None or early == outcome(rho, witt._summed(pieces, 1),
-                                             exp)
+    # summed operator; where they do not, nothing is raised. The words
+    # are nu2's on a representative, and ell1_n's single word at n = 1..4
+    rep = data.draw(MIXED_REPS[exp])
+    fields = data.draw(MIXED_WORDS[exp])
+    for words in ([(-c, w) for c, w in rep.words()],
+                  [((-1) ** (len(fields) - 1), fields)]):
+        pieces = period._pieces(words)
+        early = outcome(hodge.refuse_before_rho,
+                        {k: witt._sketch(g, 1) for k, g in pieces.items()},
+                        exp)
+        assert early is None or \
+            early == outcome(hodge._rho, witt._summed(pieces, 1), exp)
+
+
+def test_refusal_before_rho_returns_at_once_only_where_z1_is_cleared(
+        monkeypatch):
+    # one order k, its coefficient a known below z^t, and o the smallest
+    # ord g_j^(k): column j is known below the smallest of 1, t + ord
+    # g_j^(k) and trunc g_j^(k) + ord a. At t = 1 - o every column clears
+    # z^1, and refuse_before_rho returns without reading a column; at
+    # t = -o one column is known only below z^0, and it raises what rho
+    # raises
+    orders = hodge._derivative_orders
+
+    def no_columns(e, j):  # the bounds over all columns, and no column
+        return orders(e, j)[:2] + (None,)
+    for exp in (E5, E7, ED):
+        for k in range(1, DEFAULT_MAX_ORDER + 1):
+            o = orders(exp, k)[0]
+            for t in (1 - o, -o):
+                a = LaurentSeries({t - 2: 1, t - 1: 2}, t)
+                pieces = [(1, witt._Numerators.of(a), period._ONE)]
+                sketches = {k: witt._sketch(pieces, 1)}
+                if t == 1 - o:
+                    monkeypatch.setattr(hodge, "_derivative_orders",
+                                        no_columns)
+                    assert hodge.refuse_before_rho(sketches, exp) is None
+                    monkeypatch.undo()
+                    assert type(rho(DiffOp({k: a}), exp)) is HomMatrix
+                else:
+                    got = outcome(hodge.refuse_before_rho, sketches, exp)
+                    assert got[0] is PrecisionExhausted
+                    assert got == outcome(rho, DiffOp({k: a}), exp)
+
+
+def test_ell2_refuses_long_fields_before_forming(monkeypatch):
+    # two n-term fields z^-(n-1) + ... + 1 known below z^1: no column is
+    # known at z^0. ell2 refuses as ell2_via_lie does, and sums no piece
+    # before it refuses, at either n
+    formed = []
+    sum_below = witt._sum_below
+
+    def counted_sum(pieces, cap):
+        r = sum_below(pieces, cap)
+        formed.append(len(r.terms))
+        return r
+    monkeypatch.setattr(witt, "_sum_below", counted_sum)
+    for n in (40, 400):
+        f = WittElement(LaurentSeries({-i: 1 for i in range(n)}, 1))
+        del formed[:]
+        got = outcome(ell2, f, f.scaled(2), E5)
+        assert formed == []
+        assert got[0] is PrecisionExhausted
+        assert got == outcome(ell2_via_lie, f, f.scaled(2), E5)
+
+
+def test_elln_of_wide_sparse_fields_takes_memory_in_their_terms():
+    # two-term fields z^-N + 1 known below z^1, N = 10^7: each composition
+    # has a few terms spread over about n N exponents. ell1_n at n = 3 and
+    # n = 4, and ell_k_n on the same fields, refuse as the contraction
+    # route does, in memory that grows with the terms, not with that span
+    pole = 10 ** 7
+    for n in (3, 4):
+        fields = [WittElement(LaurentSeries({-pole: 1, 0: 1}, 1))] * n
+        for exp in (E5, E7):
+            tracemalloc.start()
+            try:
+                got = outcome(ell1_n, fields, exp)
+                blocks = outcome(ell_k_n, fields, 2, exp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 22
+            assert got[0] is PrecisionExhausted
+            assert got == outcome(ell1_n_contraction, fields, exp)
+            assert blocks[0] is PrecisionExhausted
 
 
 # --- full second jet and second fundamental form ---------------------------
@@ -479,11 +547,10 @@ def test_rho_matches_full_length_reference(exp, data):
 
 @pytest.mark.parametrize("exp", [E5, E7, ED],
                          ids=["x5+1", "x7-x+1", "dense-g3"])
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_ell1_n_matches_full_length_reference(exp, data):
-    fields = data.draw(st.lists(field_near_threshold(exp), min_size=1,
-                                max_size=DEFAULT_MAX_ORDER))
+    fields = data.draw(MIXED_WORDS[exp])
     assert outcome(ell1_n, fields, exp) == \
         outcome(full_operator_route, fields, exp)
 
@@ -544,7 +611,8 @@ def test_rho_table_edges_match_full_length_reference(exp):
     fallbacks = 0
     for op, must_fall_back in table_edge_cases(exp):
         if must_fall_back is not None:
-            assert (_table_rho(op, exp) is None) == must_fall_back
+            assert (_table_rho(witt._numerators(op.terms), exp) is None) == \
+                must_fall_back
             fallbacks += must_fall_back
         assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
     assert fallbacks >= 12
@@ -600,8 +668,8 @@ def minus_rho_of_rep(rep, exp):
     + phi(zeta) o phi(xi)), the operator of the representative."""
     op = phi(rep.upsilon)
     for zeta, xi in rep.sym_pairs:
-        op = op + (diffop_compose(phi(xi), phi(zeta)) +
-                   diffop_compose(phi(zeta), phi(xi))).scaled(Fraction(1, 2))
+        op = op + scaled(diffop_compose(phi(xi), phi(zeta)) +
+                         diffop_compose(phi(zeta), phi(xi)), Fraction(1, 2))
     return rho(op, exp).scaled(-1)
 
 
@@ -629,6 +697,17 @@ def mixed_fields(exp):
     zero = st.builds(lambda t: WittElement(LaurentSeries.zero(t)),
                      st.just(INF) | st.integers(-3, 4))
     return exact | zero | field_near_threshold(exp)
+
+
+# the strategies of the properties below, built once per curve: fields
+# as mixed_fields draws them, words of 1..DEFAULT_MAX_ORDER of them, and
+# representatives with up to three pairs
+MIXED = {exp: mixed_fields(exp) for exp in (E5, E7, ED)}
+MIXED_WORDS = {exp: st.lists(f, min_size=1, max_size=DEFAULT_MAX_ORDER)
+               for exp, f in MIXED.items()}
+MIXED_REPS = {exp: st.builds(T2Rep, f, st.lists(st.tuples(f, f),
+                                                max_size=3))
+              for exp, f in MIXED.items()}
 
 
 @pytest.mark.parametrize("exp", [E5, E7, ED],
@@ -818,7 +897,8 @@ def test_ell1_n_routes_agree_on_a_dense_rational_curve():
 
 def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
     # the products of each order of a composition, as (a, b, cap), and the
-    # operator handed to rho; the stand-in for rho forms none
+    # operator handed to rho, its coefficients as integer numerators; the
+    # stand-in for rho forms none
     products, handed = [], []
     sum_below = witt._sum_below
 
@@ -830,7 +910,7 @@ def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
         handed.append(op)
         return HomMatrix([], [])
     monkeypatch.setattr(witt, "_sum_below", recorded_sum)
-    monkeypatch.setattr(period, "rho", recorded_rho)
+    monkeypatch.setattr(period, "_rho", recorded_rho)
     rng = random.Random(71)
     for n in (2, 3, 4):
         for _ in range(4):
@@ -844,15 +924,14 @@ def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
                 bounds.append(bounds[-1] - zeta.f.order() + 1)
             assert products
             assert {cap for _, _, cap in products} == set(bounds)
-            # a product reads b, or b', only below z^(cap - ord a + 1);
-            # a and b are series, or their integer numerators
+            # a product reads b, or b', only below z^(cap - ord a + 1)
             assert all(b.trunc <= cap - a.min_rule_order() + 1
                        for a, b, cap in products)
             [op] = handed
-            assert all(e < 1 for a in op.terms.values() for e in a.coeffs)
+            assert all(e < 1 for a in op.values() for e, _ in a.terms)
             # and it is known up to there: the fields are exact, so no
             # earlier bound or truncation may cut it short
-            assert all(a.trunc == 1 for a in op.terms.values())
+            assert all(a.trunc == 1 for a in op.values())
 
 
 def test_ell1_n_multilinear():

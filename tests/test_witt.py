@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from periodjet.witt import (
     DiffOp, WittElement, diffop_apply, diffop_compose, phi, sp_witness,
     witt_bracket)
 
-from series_reference import full_bracket, full_compose
+from series_reference import full_bracket, full_compose, scaled
 
 
 def random_field(rng, lo=-5, hi=6, nterms=3):
@@ -194,6 +195,16 @@ def test_bounded_compose_is_the_truncated_full_composition(w, v, below):
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+NONZERO_RATIONALS = RATIONALS.filter(bool)
+# what compose_coefficients draws from, built once: a truncation, exact
+# or finite, the kind of coefficient, its terms, or its one term
+TRUNCATIONS = st.one_of(st.just(INF), st.integers(-6, 10))
+FINITE_TRUNCATIONS = st.integers(-6, 10)
+COEFFICIENT_KINDS = st.sampled_from(["terms", "one term", "visible zero"])
+EXPONENTS = st.integers(-6, 6)
+TERMS = st.dictionaries(EXPONENTS, RATIONALS, min_size=2, max_size=6)
+ONE_TERM = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                     NONZERO_RATIONALS)
 
 
 @st.composite
@@ -201,18 +212,23 @@ def compose_coefficients(draw):
     """An operator coefficient: terms over mixed denominators, one term
     c z^e with c = 1, -1 or a general rational, or a visible zero; exact
     or known only below a drawn truncation."""
-    trunc = draw(st.one_of(st.just(INF), st.integers(-6, 10)))
-    kind = draw(st.sampled_from(["terms", "one term", "visible zero"]))
+    trunc = draw(TRUNCATIONS)
+    kind = draw(COEFFICIENT_KINDS)
     if kind == "terms":
-        coeffs = draw(st.dictionaries(st.integers(-6, 6), RATIONALS,
-                                      min_size=2, max_size=6))
+        coeffs = draw(TERMS)
     elif kind == "one term":
-        c = draw(st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
-                           RATIONALS.filter(bool)))
-        coeffs = {draw(st.integers(-6, 6)): c}
+        c = draw(ONE_TERM)
+        coeffs = {draw(EXPONENTS): c}
     else:
-        coeffs, trunc = {}, draw(st.integers(-6, 10))
+        coeffs, trunc = {}, draw(FINITE_TRUNCATIONS)
     return LaurentSeries(coeffs, trunc)
+
+
+COEFFICIENTS = compose_coefficients()
+# the orders of an operator, and of an order m holding b beside -b' at
+# m - 1
+ORDERS = st.sets(st.integers(1, 3), min_size=1, max_size=3)
+CANCELLING_ORDERS = st.integers(2, 3)
 
 
 @st.composite
@@ -220,12 +236,10 @@ def compose_operators(draw):
     """Operators of orders k <= 3. Some hold b at order m and -b' at
     order m - 1, so that a D composed with them sums a b' and -a b' at
     order m: pieces that cancel within an order."""
-    terms = {k: draw(compose_coefficients())
-             for k in draw(st.sets(st.integers(1, 3), min_size=1,
-                                   max_size=3))}
+    terms = {k: draw(COEFFICIENTS) for k in draw(ORDERS)}
     if draw(st.booleans()):
-        m = draw(st.integers(2, 3))
-        terms[m] = draw(compose_coefficients())
+        m = draw(CANCELLING_ORDERS)
+        terms[m] = draw(COEFFICIENTS)
         terms[m - 1] = -derive(terms[m])
     return DiffOp(terms)
 
@@ -233,7 +247,7 @@ def compose_operators(draw):
 # the weights of the words a composition is collected with: 1, -1, the
 # 1/2 of a symmetric pair, and a general p/q
 WEIGHTS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
-                           Fraction(-1, 2)]) | RATIONALS.filter(bool)
+                           Fraction(-1, 2)]) | NONZERO_RATIONALS
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -241,11 +255,13 @@ WEIGHTS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2),
        st.one_of(st.just(INF), st.integers(-14, 16)), WEIGHTS)
 def test_compose_is_the_truncated_leibniz_reference(w, v, below, c):
     pieces = {}
-    witt._collect(w, v, below, c, pieces)
-    got = witt._summed(pieces, below)
+    witt._collect(witt._numerators(w.terms), witt._numerators(v.terms),
+                  below, c, pieces)
+    got = DiffOp({k: a.series()
+                  for k, a in witt._summed(pieces, below).items()})
     if c == 1:
         assert diffop_compose(w, v, below) == got
-    full = full_compose(w, v).scaled(c)
+    full = scaled(full_compose(w, v), c)
     # an order whose full coefficient is exact zero is absent from it
     zero = LaurentSeries.zero()
     orders = got.terms.keys() | full.terms.keys()
@@ -268,6 +284,7 @@ def test_sketch_is_the_truncation_and_order_of_the_sum(
     # order where lowest terms cancel; collecting w o v at c and -c
     # cancels them all
     pieces = {}
+    w, v = witt._numerators(w.terms), witt._numerators(v.terms)
     witt._collect(w, v, below, c, pieces)
     if cancel:
         witt._collect(w, v, below, -c, pieces)
@@ -281,21 +298,23 @@ def test_sketch_is_the_truncation_and_order_of_the_sum(
             assert total.min_rule_order() > o
 
 
+BRACKET_COEFFICIENTS = COEFFICIENTS | st.just(LaurentSeries.zero())
+ZERO_OR_MONOMIAL = st.sampled_from([LaurentSeries.zero()]) | st.builds(
+    LaurentSeries.monomial, EXPONENTS, NONZERO_RATIONALS)
+
+
 @st.composite
 def bracket_pairs(draw):
     """Two fields whose coefficients are drawn as compose_coefficients,
     or exact zero; some pairs are a and r a + s, with s a one-term field
     or zero, so that the two products cancel in whole or in part."""
-    coefficient = compose_coefficients() | st.just(LaurentSeries.zero())
-    a = draw(coefficient)
+    a = draw(BRACKET_COEFFICIENTS)
     if draw(st.booleans()):
-        r = draw(RATIONALS.filter(bool))
-        s = draw(st.sampled_from([LaurentSeries.zero()]) |
-                 st.builds(LaurentSeries.monomial, st.integers(-6, 6),
-                           RATIONALS.filter(bool)))
+        r = draw(NONZERO_RATIONALS)
+        s = draw(ZERO_OR_MONOMIAL)
         b = a.scaled(r) + s
     else:
-        b = draw(coefficient)
+        b = draw(BRACKET_COEFFICIENTS)
     pair = [WittElement(a), WittElement(b)]
     return pair[::-1] if draw(st.booleans()) else pair
 
@@ -310,6 +329,22 @@ def test_bracket_is_the_fraction_reference(pair):
     assert f.trunc is INF or type(f.trunc) is int
     assert all(type(e) is int and type(c) is Fraction and c and e < f.trunc
                for e, c in f.coeffs.items())
+
+
+def test_bracket_of_far_apart_fields_takes_memory_in_their_terms():
+    # exponents 2 10^7 apart: the bracket has three terms, formed in
+    # memory that grows with them, not with the span between them
+    a = WittElement(LaurentSeries({-10 ** 7: 1, 0: 1}))
+    b = WittElement(LaurentSeries({1: 1, 10 ** 7: 3}, 2 * 10 ** 7))
+    tracemalloc.start()
+    try:
+        got = witt_bracket(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert got == WittElement(full_bracket(a, b))
+    assert len(got.f.coeffs) == 3
 
 
 def test_diffop_constructor_invariants():
