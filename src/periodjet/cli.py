@@ -13,16 +13,17 @@ with sorted keys and canonical "p/q" rationals, so identical configuration
 yields byte-identical bytes for info and compute; check reports include
 wall-clock timings, which is the one non-reproducible field.
 
-check runs its rows on every CPU the process may use: this process runs
-one share of them and a forked child runs each other share. The report,
-its row order and its bytes but for the timings are those of a serial run,
-and so are the first failure and the exit code. One rule gives that: a
-row that was not delivered where it was dealt (its fork failed, its child
-stopped, or it raised an exception that is not a row) runs in this
-process, in task order, after every child is read, so a row that raised
-runs a second time before its exception propagates. Each row's "seconds"
-is timed in the process that ran it. `taskset -c 0 periodjet check` gives
-a serial run.
+check runs its rows on every CPU the process may use: a forked child per
+CPU claims them one at a time from one queue of every task index, written
+before the first fork, until it is empty, and this process claims what
+they leave once each has ended. The report, its row order and its bytes
+but for the timings are those of a serial run, and so are the first
+failure and the exit code. One rule gives that: a row that was not
+delivered where it was claimed (its child stopped, or it raised an
+exception that is not a row) runs in this process, in task order, after
+every child is read, so a row that raised runs a second time before its
+exception propagates. Each row's "seconds" is timed in the process that
+ran it. `taskset -c 0 periodjet check` gives a serial run.
 
 Precision resolution order: --precision flag, then the "precision" field
 of the curve file, then the PERIODJET_PRECISION environment variable,
@@ -482,11 +483,12 @@ def _run_row(task):
             "seconds": round(time.perf_counter() - t0, 3)}, code
 
 
-def _run_share(tasks, share):
-    """Rows of the tasks at the indices of share, run in order up to the
-    first exception that is not a row: {index: (row, code)}."""
+def _claim(tasks, claims):
+    """Rows of the tasks whose indices this process claims, one at a
+    time, from the iterable claims, run up to the first exception that
+    is not a row: {index: (row, code)}."""
     done = {}
-    for i in share:
+    for i in claims:
         try:
             done[i] = _run_row(tasks[i])
         except Exception:  # the row runs again in _run_tasks
@@ -494,22 +496,23 @@ def _run_share(tasks, share):
     return done
 
 
-def _shares(ntasks, workers):
-    """Task indices dealt to the workers in snake order (0, 1, .., W-1,
-    W-1, .., 0, 0, 1, ..): unlike round-robin, it does not hand the first
-    worker the first task of every round."""
-    shares = [[] for _ in range(workers)]
-    for i in range(ntasks):
-        turn, w = divmod(i, workers)
-        shares[w if turn % 2 == 0 else workers - 1 - w].append(i)
-    return shares
+def _claims(queue):
+    """The task indices read from the pipe queue, 2 bytes each, until it
+    is empty. Each read takes one whole index, which no other reader of
+    the pipe then gets."""
+    while True:
+        index = os.read(queue, 2)
+        if not index:
+            return
+        yield int.from_bytes(index, "big")
 
 
-def _fork_share(tasks, share):
-    """A child process that runs the share on what it inherits and writes
-    its rows, as JSON, to a pipe; returns (pid, the pipe's read end). The
-    child writes nothing else, flushes no inherited buffer, and stops at
-    its first exception that is not a row."""
+def _fork(tasks, queue):
+    """A child process that claims rows from the queue on what it
+    inherits and writes them, as JSON, to a pipe; returns (pid, the
+    pipe's read end). The child writes nothing else, flushes no
+    inherited buffer, and stops at its first exception that is not a
+    row."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -520,7 +523,7 @@ def _fork_share(tasks, share):
     if pid == 0:
         try:
             os.close(r)
-            done = _run_share(tasks, share)
+            done = _claim(tasks, _claims(queue))
             data = json.dumps([[i, row, code]
                                for i, (row, code) in done.items()]).encode()
             while data:
@@ -531,46 +534,77 @@ def _fork_share(tasks, share):
     return pid, r
 
 
-def _run_tasks(tasks):
-    """(row, code) of every task, in task order, exactly as running them
-    one after another gives them.
+# The most tasks whose indices, 2 bytes each, fit a pipe before any
+# process reads it: 512 bytes is POSIX's least PIPE_BUF, and a write of
+# at most PIPE_BUF bytes to an empty pipe completes at once. check makes
+# 3 + 8 per curve, at most 19; a longer list runs serially.
+MAX_QUEUED_TASKS = 256
 
-    The tasks are dealt over one worker per CPU this process may run on;
-    this process is the first worker and every other one is a forked
-    child (none where os.fork is missing or fails, or where threads run,
-    which a fork could deadlock). One rule recovers the rest: a task that
-    gave no row where it was dealt, because its fork failed, its child
-    stopped or it raised an exception that is not a row, runs here, in
-    task order, after every child is read. So the exception raised is the
-    one the serial loop meets first, and a task that raised runs a second
-    time before its exception propagates.
-    """
-    threading = sys.modules.get("threading")
-    workers = min(_usable_cpus(), len(tasks))
-    if not hasattr(os, "fork") or (
-            threading is not None and threading.active_count() > 1):
-        workers = 1
-    shares = _shares(len(tasks), workers)
+
+def _claim_forked(tasks, forks):
+    """The rows that up to forks children claim from one queue of every
+    task index, and that this process claims from what they leave once
+    each has ended: {index: (row, code)}. The queue is written whole,
+    and its write end closed, before the first fork."""
+    queue, w = os.pipe()
     children = []
     try:
-        for share in shares[1:]:
+        try:
+            os.write(w, b"".join(i.to_bytes(2, "big")
+                                 for i in range(len(tasks))))
+        finally:
+            os.close(w)
+        for _ in range(forks):
             try:
-                children.append(_fork_share(tasks, share))
-            except OSError:  # no process to spare: its rows run below
-                pass
-        done = _run_share(tasks, shares[0])
+                children.append(_fork(tasks, queue))
+            except OSError:  # no process to spare: the others claim more
+                break
+        done = {}
         for _, fd in children:
             with open(fd, "rb", closefd=False) as pipe:
                 data = pipe.read()  # to EOF, when the child exits
             try:
                 delivered = json.loads(data)
-            except ValueError:  # cut short: its rows run below
+            except ValueError:  # cut short: its rows run in _run_tasks
                 delivered = []
             done.update((i, (row, code)) for i, row, code in delivered)
+        done.update(_claim(tasks, _claims(queue)))
     finally:
+        os.close(queue)
         for pid, fd in children:
             os.close(fd)
             os.waitpid(pid, 0)
+    return done
+
+
+def _run_tasks(tasks):
+    """(row, code) of every task, in task order, exactly as running them
+    one after another gives them.
+
+    The rows run on one worker per CPU this process may run on. One
+    worker is this process, which runs them in order; more are forked
+    children (none where os.fork is missing or fails, where threads run,
+    which a fork could deadlock, or where the tasks are more than
+    MAX_QUEUED_TASKS), which claim the task indices one at a time from
+    one queue until it is empty (see _claim_forked), so a child that
+    meets long rows claims fewer. This process claims only what the
+    children leave, after each has ended, so the rows it runs do not
+    depend on their timing. One rule recovers the rest: a task that gave
+    no row where it was claimed, because its child stopped or it raised
+    an exception that is not a row, runs here, in task order, after every
+    child is read. So the exception raised is the one the serial loop
+    meets first, and a task that raised runs a second time before its
+    exception propagates.
+    """
+    threading = sys.modules.get("threading")
+    workers = min(_usable_cpus(), len(tasks))
+    if not hasattr(os, "fork") or len(tasks) > MAX_QUEUED_TASKS or (
+            threading is not None and threading.active_count() > 1):
+        workers = 1
+    if workers == 1:
+        done = _claim(tasks, range(len(tasks)))
+    else:
+        done = _claim_forked(tasks, workers)
     return [done[i] if i in done else _run_row(tasks[i])
             for i in range(len(tasks))]
 

@@ -20,7 +20,12 @@ The pairings of the gap monomials form an invertible matrix
 D = (p(n_j))_j. Each quotient has one record per expansion, built on
 first use from its pairing alone: p, D, D^-1, and a table of the
 classes [z^-m] = D^-1 p(m), filled one pole order at a time. A class is
-the sum of x_(-m) [z^-m] over the poles of its input x. Exponents >= 0
+the sum of x_(-m) [z^-m] over the poles of its input x. The class table
+holds each [z^-m] as integer numerators over one denominator, and the
+sum runs on integers over one lcm: reduce_O and reduce_Theta make one
+Fraction per gap, and the matrices built from reduced columns (rho's
+per-column path, its table's cold fill and the contraction route, see
+_matrix_of_columns) none. Exponents >= 0
 pair to zero, so inputs are treated modulo H+ (respectively d+): a
 reduction reads only the polar part of its input, plus the check that
 the input is known below z^1 (respectively z^0), and reduce_O(x) equals
@@ -148,13 +153,6 @@ class HomMatrix(object):
         m.basis_gaps = basis_gaps
         return m
 
-    @classmethod
-    def from_columns(cls, columns, basis_gaps):
-        """The matrix whose column j is columns[j], a list of Fractions,
-        over the gaps tuple basis_gaps."""
-        d, numerators = _over_lcm([x for row in zip(*columns) for x in row])
-        return cls._trusted(numerators, d, basis_gaps)
-
     @property
     def entries(self):
         """The rows, as fresh lists of Fractions."""
@@ -217,7 +215,8 @@ def _quotient(exp, pairing):
     the matrices over it share. D = (p(n_j))_j holds the pairings of the
     gap monomials, and D^-1 is the right half of the echelon form of
     [D | I]. classes maps a pole order m to the class of z^-m, D^-1 p(m),
-    filled by _reduce as it meets m.
+    as integer numerators over one denominator (see _over_lcm), filled by
+    _reduce as it meets m.
     """
     records = _table(exp, _quotient)
     if pairing not in records:
@@ -240,11 +239,13 @@ def _short(what, min_trunc, trunc):
 
 def _reduce(series, exp, min_trunc, what, pairing):
     """The class of series in the quotient with the given pairing, by
-    Serre duality.
+    Serre duality, as (d, numerators): its gap coordinates are n/d.
 
     Once the input's truncation is checked, the class is the sum of
     x_(-m) [z^-m] over the input's poles m, each [z^-m] = D^-1 p(m) read
-    off, or added to, the quotient's record (see _quotient).
+    off, or added to, the quotient's record (see _quotient). The sum
+    runs on integers: the term of pole m is over the denominator of
+    x_(-m) times that of [z^-m], and one lcm of these is d.
     """
     if series.trunc < min_trunc:
         raise _short(what, min_trunc, series.trunc)
@@ -254,12 +255,22 @@ def _reduce(series, exp, min_trunc, what, pairing):
             "%s reduction hit pole order %d, beyond the basis window %d "
             "at this precision" % (what, max(poles), exp.precision - 2))
     pair, gaps, _, inverse, classes = _quotient(exp, pairing)
-    for m in poles.keys() - classes.keys():
-        p = pair(m)
-        classes[m] = [sum(a * b for a, b in zip(row, p)) for row in inverse]
-    return GapClass._trusted(
-        [sum((c * classes[m][j] for m, c in poles.items()), Fraction(0))
-         for j in range(len(gaps))], list(gaps))
+    terms, d = [], 1
+    for m, c in poles.items():
+        cls = classes.get(m)
+        if cls is None:
+            p = pair(m)
+            cls = classes[m] = _over_lcm(
+                [sum(a * b for a, b in zip(row, p)) for row in inverse])
+        dm = c.denominator * cls[0]
+        terms.append((c.numerator, dm, cls[1]))
+        d = lcm(d, dm)
+    acc = [0] * len(gaps)
+    for n, dm, nums in terms:
+        n *= d // dm
+        for j, x in enumerate(nums):
+            acc[j] += n * x
+    return d, acc
 
 
 def _pairing_O(exp):
@@ -286,14 +297,22 @@ def _pairing_Theta(exp):
     return pair, exp.gaps_Theta
 
 
+def _gap_class(reduced, gaps):
+    """The GapClass of a class (d, numerators) that _reduce gives, one
+    Fraction per gap."""
+    d, nums = reduced
+    return GapClass._trusted([Fraction(n, d) for n in nums], list(gaps))
+
+
 def reduce_O(h, exp):
     """Class of h in H^1(O) = H/(H+ + K0); needs trunc(h) >= 1."""
-    return _reduce(h, exp, 1, "H^1(O)", _pairing_O)
+    return _gap_class(_reduce(h, exp, 1, "H^1(O)", _pairing_O), exp.gaps_O)
 
 
 def reduce_Theta(zeta, exp):
     """Class of zeta in H^1(Theta) = d/(theta (+) d+); needs trunc >= 0."""
-    return _reduce(zeta.f, exp, 0, "H^1(Theta)", _pairing_Theta)
+    return _gap_class(_reduce(zeta.f, exp, 0, "H^1(Theta)", _pairing_Theta),
+                      exp.gaps_Theta)
 
 
 def _gaps_O(exp):
@@ -312,10 +331,25 @@ def duality_det(exp):
     return det(_quotient(exp, _pairing_O)[2])
 
 
+def _matrix_of_columns(columns, exp, sign=1):
+    """The HomMatrix whose column j is sign times the class in H^1(O) of
+    columns[j], read from an iterable of series in column order, so each
+    column is reduced before the next is formed. The columns' integer
+    classes (see _reduce) are brought over one lcm, with no Fraction."""
+    reduced = [_reduce(s, exp, 1, "H^1(O)", _pairing_O) for s in columns]
+    d = lcm(*(dj for dj, _ in reduced))
+    g = len(reduced)
+    nums = [0] * (g * g)
+    for j, (dj, col) in enumerate(reduced):
+        scale = sign * (d // dj)
+        nums[j::g] = [scale * x for x in col]
+    return HomMatrix._trusted(nums, d, _gaps_O(exp))
+
+
 def _columns(op, exp):
-    """rho's columns, reducing each op(g_j) formed below z^1."""
-    return [[-c for c in reduce_O(diffop_apply(op, gj, below=1), exp).coords]
-            for gj in exp.h10_basis]
+    """rho's matrix with each column, op(g_j) formed below z^1, reduced."""
+    return _matrix_of_columns(
+        (diffop_apply(op, gj, below=1) for gj in exp.h10_basis), exp, -1)
 
 
 def _derivative_orders(exp, k):
@@ -383,13 +417,9 @@ def _table_entry(exp, k, e):
     table = _table(exp, _table_entry)
     entry = table.get((k, e))
     if entry is None:
-        cols = _columns(DiffOp({k: LaurentSeries.monomial(e)}), exp)
-        g = len(cols)
-        nonzero = [(i * g + j, x) for j, col in enumerate(cols)
-                   for i, x in enumerate(col) if x]
-        d = lcm(*(x.denominator for _, x in nonzero))
-        entry = table[k, e] = (d, tuple(
-            (p, x.numerator * (d // x.denominator)) for p, x in nonzero))
+        m = _columns(DiffOp({k: LaurentSeries.monomial(e)}), exp)
+        entry = table[k, e] = (m.denominator, tuple(
+            (p, x) for p, x in enumerate(m.numerators) if x))
     return entry
 
 
@@ -450,7 +480,7 @@ def _rho(ops, exp):
     m = _table_rho(ops, exp)
     if m is None:
         op = DiffOp({k: a.series() for k, a in ops.items()})
-        m = HomMatrix.from_columns(_columns(op, exp), _gaps_O(exp))
+        m = _columns(op, exp)
     return m
 
 

@@ -33,7 +33,7 @@ module implements each once, on a weighted sum of field words
 
 Both routes form each step only below the bound the next step reads (see
 _bounds), so the last one, the operator handed to rho or the contraction
-handed to reduce_O, is formed only below z^1.
+handed to the H^1(O) reduction, is formed only below z^1.
 
 A second-order representative is a weighted sum of field words
 (T2Rep.words): upsilon alone, and each symmetric pair in both orders
@@ -52,13 +52,13 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .hodge import (
-    HomMatrix, _gaps_O, _rho, hom_to_json, reduce_O, refuse_before_rho)
+    _matrix_of_columns, _rho, hom_to_json, refuse_before_rho)
 from .laurent import INF, LaurentSeries, derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
 from .witt import (
-    WittElement, _collect, _compose, _Numerators, _numerators, _sketch,
-    _summed, witt_bracket)
+    WittElement, _bracket, _collect, _compose, _Numerators, _numerators,
+    _sketch, _summed)
 
 # the highest differential order the order-n entry points take
 DEFAULT_MAX_ORDER = 4
@@ -226,9 +226,11 @@ def canonical_second_rep(zeta, xi):
         upsilon = (1/2)[xi, zeta],   pairs = [(zeta, xi)].
 
     nu2 of this equals ell2(zeta, xi); that equality pins the coupling
-    sign below.
+    sign below. upsilon is one sum of the bracket's pieces at weights
+    +-1/2 (see witt._bracket).
     """
-    return T2Rep(witt_bracket(xi, zeta).scaled(Fraction(1, 2)), [(zeta, xi)])
+    return T2Rep(WittElement(_bracket(xi, zeta, Fraction(1, 2)).series()),
+                 [(zeta, xi)])
 
 
 def nu2(rep, exp):
@@ -345,12 +347,15 @@ def _contraction(words, exp):
 
         sum_w c [ fn -| L_f(n-1) ... L_f1 omega_j ]
 
-    once, starting from the expansion's form h_j = g_j'. Each contraction
-    goes straight into reduce_O, so it is formed only below z^1, and it
-    reads its form only below z^(1 - ord fn). Each Lie derivative is one
-    product, L_zeta (h dz) = (zeta h)' dz, formed only below the bound
-    the next step reads (see _bounds): below z^w, it forms zeta h below
-    z^(w+1) and reads h below z^(w - ord zeta + 1). By the min-rule the
+    once, starting from the expansion's form h_j = g_j'; the classes
+    become the matrix on integers (hodge._matrix_of_columns), while the
+    products stay on Fractions, apart from the operator route's kernel.
+    Each contraction goes straight into the reduction, so it is formed
+    only below z^1, and it reads its form only below z^(1 - ord fn).
+    Each Lie derivative is one product, L_zeta (h dz) = (zeta h)' dz,
+    formed only below the bound the next step reads (see _bounds): below
+    z^w, it forms zeta h below z^(w+1) and reads h below
+    z^(w - ord zeta + 1). By the min-rule the
     windowed forms have the coefficients and truncation of the full ones
     below their bounds, so every contraction, and every refusal, is the
     one the full-length route gives.
@@ -360,16 +365,16 @@ def _contraction(words, exp):
         o = fields[-1].f.min_rule_order()
         chains.append((c, fields, _bounds(1 - o if o < INF else 1,
                                           fields[1:-1])))
-    cols = []
-    for h in exp.h10_forms:
+
+    def column(h):
         total = LaurentSeries.zero()
         for c, fields, bounds in chains:
             form = h
             for zeta, below in zip(fields[:-1], bounds):
                 form = derive(product_below(zeta.f, form, below + 1))
             total = total + product_below(fields[-1].f, form, 1).scaled(c)
-        cols.append(reduce_O(total, exp).coords)
-    return HomMatrix.from_columns(cols, _gaps_O(exp))
+        return total
+    return _matrix_of_columns(map(column, exp.h10_forms), exp)
 
 
 def ell1_n_contraction(fields, exp):

@@ -28,7 +28,9 @@ _sum_below sums the pieces of each order on those integers into the
 next _Numerators, so a chain of compositions (_compose, the two at
 weight 1) stays numerators from the first field to hodge's rho table.
 diffop_compose is _compose between _Numerators.of and one LaurentSeries
-per order, and witt_bracket sums the pieces f_a f_b' and -f_b f_a'.
+per order, and _bracket sums the pieces w f_a f_b' and -w f_b f_a' of a
+weighted bracket, which witt_bracket takes at w = 1 and
+period.canonical_second_rep at w = 1/2.
 _sketch reads the truncation and the order of such a sum off its pieces
 without forming it, which lets the operator route refuse before it
 sums. diffop_apply and the contraction route keep Fraction products.
@@ -140,12 +142,16 @@ class DiffOp(object):
 
 
 def witt_bracket(a, b):
-    """[a, b] with coefficient f_a f_b' - f_b f_a': the pieces
-    (1, f_a, f_b') and (-1, f_b, f_a') on integer numerators, summed by
+    """[a, b] with coefficient f_a f_b' - f_b f_a' (see _bracket)."""
+    return WittElement(_bracket(a, b, 1).series())
+
+
+def _bracket(a, b, w):
+    """The coefficient of w [a, b] as _Numerators: the pieces
+    (w, f_a, f_b') and (-w, f_b, f_a') on integer numerators, summed by
     _sum_below with no cap."""
     na, nb = _Numerators.of(a.f), _Numerators.of(b.f)
-    return WittElement(_sum_below([(1, na, nb.derive()),
-                                   (-1, nb, na.derive())], INF).series())
+    return _sum_below([(w, na, nb.derive()), (-w, nb, na.derive())], INF)
 
 
 def phi(zeta):

@@ -2,14 +2,17 @@
 recurrences for the integer square root, full-length products,
 compositions by the Leibniz rule over those products, the Witt bracket
 over them, the Lie derivative by the product rule, full-length forms of
-the routes that form only the coefficients a reduction reads, and the
-residue pairing read off a full product."""
+the routes that form only the coefficients a reduction reads, the
+residue pairing read off a full product, and the reductions summed as
+Fractions."""
 
 from fractions import Fraction
 from math import comb
 
-from periodjet.hodge import HomMatrix, reduce_O
-from periodjet.laurent import LaurentSeries, derive, residue
+from periodjet.hodge import HomMatrix, UnreducibleExponent, reduce_O
+from periodjet.laurent import (
+    LaurentSeries, PrecisionExhausted, derive, residue)
+from periodjet.linalg import row_echelon
 from periodjet.witt import DiffOp, diffop_apply, phi
 
 
@@ -131,3 +134,30 @@ def full_nu2(rep, exp):
             total = total + s.scaled(Fraction(1, 2))
         cols.append(reduce_O(total, exp).coords)
     return _columns(cols, exp.gaps_O)
+
+
+def fraction_reduce(series, exp, min_trunc, what, pairing):
+    """The gap coordinates of the class of series in the quotient with
+    the given pairing (hodge._pairing_O or hodge._pairing_Theta), as
+    sum_m c_(-m) D^-1 p(m) over its poles m, each D^-1 p(m) solved from
+    [D | p(m)] and the sum taken over Fractions; with the reduction's
+    two refusals, truncation first."""
+    if series.trunc < min_trunc:
+        raise PrecisionExhausted(
+            "%s reduction needs truncation >= %d, input has %s"
+            % (what, min_trunc, series.trunc))
+    poles = {-e: c for e, c in series.coeffs.items() if e < 0}
+    window = exp.precision - 2
+    if poles and max(poles) > window:
+        raise UnreducibleExponent(
+            "%s reduction hit pole order %d, beyond the basis window %d "
+            "at this precision" % (what, max(poles), window))
+    pair, gaps = pairing(exp)
+    g = len(gaps)
+    d = [[pair(n)[i] for n in gaps] for i in range(g)]
+    total = [Fraction(0)] * g
+    for m, c in poles.items():
+        p = pair(m)
+        rows, _ = row_echelon([d[i] + [p[i]] for i in range(g)])
+        total = [t + c * row[g] for t, row in zip(total, rows)]
+    return total

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import threading
+import time
 
 import pytest
 
@@ -632,13 +633,19 @@ def run_on_workers(monkeypatch, capsys, workers, call):
     return (outcome, out, err), len(forked)
 
 
+def children(workers):
+    """The processes forked for a number of workers: none for one, else a
+    child per worker, while this process claims only what they leave."""
+    return workers if workers > 1 else 0
+
+
 def assert_workers_agree(monkeypatch, capsys, call):
     """One worker forks nothing, and two or three give its outcome."""
     serial, forks = run_on_workers(monkeypatch, capsys, 1, call)
     assert forks == 0
     for workers in (2, 3):
         assert run_on_workers(monkeypatch, capsys, workers, call) == \
-            (serial, workers - 1)
+            (serial, children(workers))
     return serial
 
 
@@ -691,31 +698,40 @@ def patch_rows(monkeypatch, failures):
     monkeypatch.setattr(periodjet.cli, "CURVE_CHECKS", curve_checks)
 
 
-# task indices of a one-curve run that a forked child and the parent run
-# when two workers share it
-CHILD_ROW, LATER_PARENT_ROW = 1, 7
+# task indices of a one-curve run: a global row, and a curve row after it
+EARLY_ROW, LATER_ROW = 1, 7
 
 
 def test_task_indices_of_the_failure_cases():
-    parent, child = periodjet.cli._shares(11, 2)
-    assert CHILD_ROW in child and LATER_PARENT_ROW in parent
-    assert periodjet.cli._shares(11, 1) == [list(range(11))]
+    assert EARLY_ROW < len(GLOBAL_CHECKS) <= LATER_ROW < \
+        len(GLOBAL_CHECKS) + len(CURVE_CHECKS)
+    # check makes 3 + 8 tasks per curve, at most 19 on the two fixtures,
+    # and every index fits the queue before the first fork
+    tasks = len(GLOBAL_CHECKS) + 2 * len(CURVE_CHECKS)
+    assert tasks == 19 <= periodjet.cli.MAX_QUEUED_TASKS
+    r, w = os.pipe()
+    os.write(w, b"".join(i.to_bytes(2, "big") for i in range(tasks)))
+    os.close(w)
+    try:
+        assert list(periodjet.cli._claims(r)) == list(range(tasks))
+    finally:
+        os.close(r)
 
 
 def test_first_failing_row_is_chosen_by_task_order(monkeypatch, capsys):
-    patch_rows(monkeypatch, {CHILD_ROW: CheckFailure("child row"),
-                             LATER_PARENT_ROW: CheckFailure("parent row")})
+    patch_rows(monkeypatch, {EARLY_ROW: CheckFailure("early row"),
+                             LATER_ROW: CheckFailure("later row")})
     exp = e5_expansion()
     ((report, code), _, _) = assert_workers_agree(
         monkeypatch, capsys, lambda: run_checks([exp]))
     assert (code, report["failed"]) == (1, "sp-witness")
     statuses = [row["status"] for row in report["checks"]]
-    assert statuses[CHILD_ROW] == "fail: child row"
-    assert statuses[LATER_PARENT_ROW] == "fail: parent row"
+    assert statuses[EARLY_ROW] == "fail: early row"
+    assert statuses[LATER_ROW] == "fail: later row"
 
 
-@pytest.mark.parametrize("first, later", [(CHILD_ROW, LATER_PARENT_ROW),
-                                          (0, CHILD_ROW)])
+@pytest.mark.parametrize("first, later", [(EARLY_ROW, LATER_ROW),
+                                          (0, EARLY_ROW)])
 def test_forked_internal_error_is_the_serial_one(tmp_path, monkeypatch,
                                                  capsys, first, later):
     patch_rows(monkeypatch, {first: RuntimeError("first\nerror"),
@@ -740,38 +756,129 @@ def test_failed_fork_runs_the_checks_here(tmp_path, monkeypatch, capsys):
     assert serial[0] == 0
 
 
-def test_a_row_that_raised_in_this_process_runs_again_here(
+def record(log, index):
+    """Append this process's pid and index to the file log, in one
+    write to a file opened for appending, which other processes do not
+    split."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, b"%d %d\n" % (os.getpid(), index))
+    finally:
+        os.close(fd)
+
+
+def log_rows(monkeypatch, log, replace=None):
+    """Make each check of a run on at most one curve, or replace[i] in
+    its place, record (pid, its task index i) in the file log before it
+    runs; and make this process record (pid, -1) once its own claims
+    end, before it reads its children. Returns a function that reads
+    the log of one run and removes it: (claimed, reruns), the (pid,
+    index) of every row run while the workers claimed, and the indices
+    this process ran after its claims ended, in the order run."""
+    replace = replace or {}
+
+    def logged(i, check):
+        def run(*args):
+            record(log, i)
+            return check(*args)
+        return run
+
+    n = len(GLOBAL_CHECKS)
+    checks = [(name, logged(i, replace.get(i, fn))) for i, (name, fn)
+              in enumerate(GLOBAL_CHECKS + CURVE_CHECKS)]
+    monkeypatch.setattr(periodjet.cli, "GLOBAL_CHECKS", checks[:n])
+    monkeypatch.setattr(periodjet.cli, "CURVE_CHECKS", checks[n:])
+    here, claim = os.getpid(), periodjet.cli._claim
+
+    def claim_then_mark(*args):
+        done = claim(*args)
+        if os.getpid() == here:
+            record(log, -1)
+        return done
+
+    monkeypatch.setattr(periodjet.cli, "_claim", claim_then_mark)
+
+    def read():
+        with open(log) as fh:
+            entries = [tuple(map(int, line.split())) for line in fh]
+        os.remove(log)
+        end = entries.index((here, -1))
+        after = entries[end + 1:]
+        return (entries[:end] + [e for e in after if e[0] != here],
+                [i for pid, i in after if pid == here])
+    return read
+
+
+def test_every_row_is_claimed_once_across_the_workers(
         tmp_path, monkeypatch, capsys):
-    # the row raises only on its first call, in this process's share:
-    # its second run gives the row, so the report is the serial one
+    # each index is delivered exactly once, by whichever worker claimed
+    # it, and no row runs again here. With children, they claim every
+    # row, so what this process runs does not depend on their timing
     argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
     serial, _ = run_on_workers(monkeypatch, capsys, 1, lambda: main(argv))
-    checks = list(CURVE_CHECKS)
-    j = LATER_PARENT_ROW - len(GLOBAL_CHECKS)
-    name, check = checks[j]
-    calls = []
-
-    def first_call_raises(*args):
-        calls.append(os.getpid())
-        if len(calls) == 1:
-            raise RuntimeError("first call")
-        check(*args)
-
-    checks[j] = (name, first_call_raises)
-    monkeypatch.setattr(periodjet.cli, "CURVE_CHECKS", checks)
-    for workers in (1, 2):
-        calls.clear()
+    read = log_rows(monkeypatch, str(tmp_path / "rows.log"))
+    for workers in (1, 2, 3):
         assert run_on_workers(monkeypatch, capsys, workers,
-                              lambda: main(argv)) == (serial, workers - 1)
-        assert calls == [os.getpid()] * 2
+                              lambda: main(argv)) == \
+            (serial, children(workers))
+        claimed, reruns = read()
+        assert sorted(i for _, i in claimed) == list(range(11))
+        assert reruns == []
+        if workers == 1:
+            assert claimed == [(os.getpid(), i) for i in range(11)]
+        else:
+            assert os.getpid() not in {pid for pid, _ in claimed}
+    assert serial[0] == 0
+
+
+def raises_on_its_first_call(marker, check):
+    """check, but its first call in any process creates the file marker
+    and raises instead."""
+    def run(*args):
+        try:
+            os.close(os.open(marker, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return check(*args)
+        raise RuntimeError("first call")
+    return run
+
+
+def test_a_row_that_raised_in_this_process_runs_again_here(
+        tmp_path, monkeypatch, capsys):
+    # the row raises only on its first call, wherever it is claimed: its
+    # second run, here, gives the row, so the report is the serial one.
+    # The worker that raised claims no more; what is left runs here in
+    # task order
+    argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
+    serial, _ = run_on_workers(monkeypatch, capsys, 1, lambda: main(argv))
+    marker = tmp_path / "raised"
+    check = (GLOBAL_CHECKS + CURVE_CHECKS)[LATER_ROW][1]
+    read = log_rows(monkeypatch, str(tmp_path / "rows.log"),
+                    {LATER_ROW: raises_on_its_first_call(str(marker), check)})
+    for workers in (1, 2, 3):
+        assert run_on_workers(monkeypatch, capsys, workers,
+                              lambda: main(argv)) == \
+            (serial, children(workers))
+        marker.unlink()
+        claimed, reruns = read()
+        ran = [i for _, i in claimed]
+        assert ran.count(LATER_ROW) == 1
+        assert reruns == sorted(reruns) and LATER_ROW in reruns
+        assert sorted(ran + reruns) == sorted(list(range(11)) + [LATER_ROW])
+        if workers == 1:
+            assert reruns == list(range(LATER_ROW, 11))
     assert serial[0] == 0
 
 
 def test_failed_fork_with_a_raising_row_gives_the_serial_error(
         tmp_path, monkeypatch, capsys):
-    patch_rows(monkeypatch, {CHILD_ROW: RuntimeError("child\nrow")})
+    # with no child, this process claims the rows from the queue, so the
+    # row that raised runs a second time here, as in a serial run
+    read = log_rows(monkeypatch, str(tmp_path / "rows.log"),
+                    {EARLY_ROW: raising(RuntimeError("early\nrow"))})
     argv = ["check", "--curve", write_curve(tmp_path), "--precision", "40"]
     serial, _ = run_on_workers(monkeypatch, capsys, 1, lambda: main(argv))
+    serial_log = read()
 
     def no_fork():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -780,17 +887,53 @@ def test_failed_fork_with_a_raising_row_gives_the_serial_error(
     assert run_on_workers(monkeypatch, capsys, 2, lambda: main(argv)) == \
         (serial, 0)
     assert serial == (5, "", "periodjet: internal error: RuntimeError: "
-                             "child row\n")
+                             "early row\n")
+    assert read() == serial_log == (
+        [(os.getpid(), i) for i in range(EARLY_ROW + 1)], [EARLY_ROW])
 
 
-def test_rows_a_child_delivers_are_not_run_again_here(monkeypatch, capsys):
-    ran_here = []
-    checks = list(GLOBAL_CHECKS)
-    checks[CHILD_ROW] = ("sp-witness", lambda: ran_here.append(os.getpid()))
-    monkeypatch.setattr(periodjet.cli, "GLOBAL_CHECKS", checks)
-    ((report, code), _, _), forks = run_on_workers(
-        monkeypatch, capsys, 2, lambda: run_checks([]))
-    assert (forks, code, report["failed"], ran_here) == (1, 0, None, [])
+def waits_for_another_worker(log, check):
+    """check, run once the file log holds a row of another process, or
+    after 10 s."""
+    def run(*args):
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            with open(log) as fh:
+                if any(int(line.split()[0]) != os.getpid() for line in fh):
+                    break
+            time.sleep(0.005)
+        return check(*args)
+    return run
+
+
+def test_rows_a_child_delivers_are_not_run_again_here(
+        tmp_path, monkeypatch, capsys):
+    # each global row waits until another worker has claimed one, so both
+    # children deliver rows
+    log = str(tmp_path / "rows.log")
+    serial, _ = run_on_workers(monkeypatch, capsys, 1,
+                               lambda: run_checks([]))
+    read = log_rows(monkeypatch, log, {
+        i: waits_for_another_worker(log, fn)
+        for i, (_, fn) in enumerate(GLOBAL_CHECKS)})
+    (outcome, forks) = run_on_workers(monkeypatch, capsys, 2,
+                                      lambda: run_checks([]))
+    ((report, code), _, _) = outcome
+    assert (outcome, forks, code, report["failed"]) == (serial, 2, 0, None)
+    claimed, reruns = read()
+    assert sorted(i for _, i in claimed) == [0, 1, 2]
+    assert len({pid for pid, _ in claimed}) == 2
+    assert os.getpid() not in {pid for pid, _ in claimed}
+    assert reruns == []
+
+
+def test_a_task_list_longer_than_the_queue_runs_serially(
+        monkeypatch, capsys):
+    monkeypatch.setattr(periodjet.cli, "MAX_QUEUED_TASKS", 2)
+    serial, _ = run_on_workers(monkeypatch, capsys, 1,
+                               lambda: run_checks([]))
+    assert run_on_workers(monkeypatch, capsys, 2, lambda: run_checks([])) \
+        == (serial, 0)
 
 
 def test_nothing_is_forked_while_threads_run(monkeypatch, capsys):

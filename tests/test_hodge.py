@@ -12,11 +12,12 @@ from periodjet.hodge import (
     duality_matrix, hom_to_json, is_symmetric_hom, reduce_O,
     reduce_Theta, rho)
 from periodjet.laurent import (
-    LaurentSeries, PrecisionExhausted, symplectic_pair)
+    INF, LaurentSeries, PrecisionExhausted, symplectic_pair)
 from periodjet.linalg import det, row_echelon
 from periodjet.period import ell1_n_contraction
 from periodjet.witt import DiffOp, WittElement, phi
 
+from series_reference import fraction_reduce
 from test_period import dense_expansion
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
@@ -364,3 +365,95 @@ def test_reductions_are_monotone_in_precision(data):
     assert reduce_O(h, e) == reduce_O(h, finer)
     zeta = WittElement(h)
     assert reduce_Theta(zeta, e) == reduce_Theta(zeta, finer)
+
+
+def reduction_inputs(exp):
+    """Series with poles at small orders and at the edge of the basis
+    window, one past it included, and terms at exponents >= 0, over
+    small and large denominators; exact, or known below a truncation at,
+    just below or above the floors 0 and 1, or farther up; and zeros,
+    exact or known below such a truncation."""
+    edge = exp.precision - 2
+    exponents = st.integers(-edge, -1) | st.integers(-8, 4) | st.integers(
+        -edge - 1, -edge + 2)
+    coefficients = st.fractions(-9, 9, max_denominator=12) | st.fractions(
+        -10 ** 6, 10 ** 6, max_denominator=10 ** 6)
+    truncations = st.just(INF) | st.integers(-1, 3) | st.integers(
+        4, exp.precision)
+    series = st.builds(LaurentSeries, st.dictionaries(
+        exponents, coefficients, min_size=1, max_size=6), truncations)
+    return series | series | series | st.builds(LaurentSeries.zero,
+                                                truncations)
+
+
+# built once per curve: one input, and a column for each gap of H^1(O)
+REDUCTION_INPUTS = {exp: reduction_inputs(exp) for exp in (E5, E7, ED)}
+COLUMNS = {exp: st.lists(s, min_size=len(exp.gaps_O),
+                         max_size=len(exp.gaps_O))
+           for exp, s in REDUCTION_INPUTS.items()}
+QUOTIENTS = [(reduce_O, 1, "H^1(O)", hodge._pairing_O, lambda h: h),
+             (reduce_Theta, 0, "H^1(Theta)", hodge._pairing_Theta,
+              WittElement)]
+
+
+def coordinates(fn, *args):
+    """The coordinates of fn's class, or the type and message of its
+    refusal."""
+    try:
+        got = fn(*args)
+    except (PrecisionExhausted, UnreducibleExponent) as e:
+        return type(e), str(e)
+    return got.coords if isinstance(got, GapClass) else got
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_reductions_are_the_fraction_sum(exp, data):
+    # the integer class table and sum give the coordinates of the
+    # Fraction sum sum_m c_(-m) D^-1 p(m), or its refusal
+    h = data.draw(REDUCTION_INPUTS[exp])
+    for reduce, min_trunc, what, pairing, lift in QUOTIENTS:
+        got = coordinates(reduce, lift(h), exp)
+        assert got == coordinates(fraction_reduce, h, exp, min_trunc, what,
+                                  pairing)
+        if isinstance(got, list):
+            assert all(type(c) is Fraction for c in got)
+            assert reduce(lift(h), exp).gaps == list(pairing(exp)[1])
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_matrix_of_columns_is_the_fraction_reference(exp, data):
+    # column j is sign times the Fraction class of the j-th series, and a
+    # refusal is that of the first column that refuses, raised before
+    # the next column is formed
+    cols = data.draw(COLUMNS[exp])
+    sign = data.draw(st.sampled_from([1, -1]))
+    formed = []
+
+    def columns():
+        for s in cols:
+            formed.append(s)
+            yield s
+
+    def reference():
+        classes = [fraction_reduce(s, exp, 1, "H^1(O)", hodge._pairing_O)
+                   for s in cols]
+        return HomMatrix([[sign * c[i] for c in classes]
+                          for i in range(len(cols))], exp.gaps_O)
+
+    want = coordinates(reference)
+    got = coordinates(hodge._matrix_of_columns, columns(), exp, sign)
+    assert got == want
+    if isinstance(want, tuple):
+        assert len(formed) == next(
+            j + 1 for j, s in enumerate(cols) if isinstance(
+                coordinates(fraction_reduce, s, exp, 1, "H^1(O)",
+                            hodge._pairing_O), tuple))
+    else:
+        assert got.basis_gaps is hodge._gaps_O(exp)
+        assert_normal_form(got)

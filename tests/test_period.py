@@ -754,7 +754,8 @@ def test_nu2_is_unchanged_by_a_pair_and_its_negative(exp, data):
     assert outcome(nu2, padded, exp) == outcome(nu2, rep, exp)
 
 
-@pytest.mark.parametrize("exp", [E5, E7], ids=["x5+1", "x7-x+1"])
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_contraction_matches_full_length_reference(exp, data):

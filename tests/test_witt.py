@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from periodjet.laurent import (
     INF, LaurentSeries, PrecisionExhausted, derive, symplectic_pair)
 from periodjet import witt
+from periodjet.period import T2Rep, canonical_second_rep
 from periodjet.witt import (
     DiffOp, WittElement, diffop_apply, diffop_compose, phi, sp_witness,
     witt_bracket)
@@ -329,6 +330,23 @@ def test_bracket_is_the_fraction_reference(pair):
     assert f.trunc is INF or type(f.trunc) is int
     assert all(type(e) is int and type(c) is Fraction and c and e < f.trunc
                for e, c in f.coeffs.items())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(bracket_pairs())
+def test_canonical_representative_is_the_halved_bracket(pair):
+    # upsilon, summed once at weights +-1/2, is the bracket formed and
+    # then halved, term for term in the same order, with the same types
+    zeta, xi = pair
+    rep = canonical_second_rep(zeta, xi)
+    want = witt_bracket(xi, zeta).scaled(Fraction(1, 2)).f
+    got = rep.upsilon.f
+    assert [(e, type(c), c) for e, c in got.coeffs.items()] == \
+        [(e, type(c), c) for e, c in want.coeffs.items()]
+    assert (type(got.trunc), got.trunc) == (type(want.trunc), want.trunc)
+    assert (got.trunc is INF) == (want.trunc is INF)
+    assert repr(got) == repr(want)
+    assert rep == T2Rep(WittElement(want), [(zeta, xi)])
 
 
 def test_bracket_of_far_apart_fields_takes_memory_in_their_terms():
