@@ -24,14 +24,14 @@ the sum of x_(-m) [z^-m] over the poles of its input x. The class table
 holds each [z^-m] as integer numerators over one denominator, and the
 sum runs on integers over one lcm: reduce_O and reduce_Theta make one
 Fraction per gap, and the matrices built from reduced columns (rho's
-per-column path, its table's cold fill and the contraction route, see
-_matrix_of_columns) none. Exponents >= 0
-pair to zero, so inputs are treated modulo H+ (respectively d+): a
-reduction reads only the polar part of its input, plus the check that
-the input is known below z^1 (respectively z^0), and reduce_O(x) equals
-reduce_O(x.truncate(1)) exactly, raised exceptions included. A pole
-order beyond precision - 2, the window in which the expansion's
-pole-order elements are known, raises UnreducibleExponent.
+per-column path and the contraction route, see _matrix_of_columns) and
+the rho table's entries none. Exponents >= 0 pair to zero, so inputs
+are treated modulo H+ (respectively d+): a reduction reads only the
+polar part of its input, plus the check that the input is known below
+z^1 (respectively z^0), and reduce_O(x) equals reduce_O(x.truncate(1))
+exactly, raised exceptions included. A pole order beyond precision - 2,
+the window in which the expansion's pole-order elements are known,
+raises UnreducibleExponent.
 
 rho sends an operator alpha to the matrix of
 
@@ -39,10 +39,11 @@ rho sends an operator alpha to the matrix of
 
 the sign being part of the definition. It is linear in the coefficients
 of alpha = sum a_(k,e) z^e D^k, so it is read off a per-curve table of
-the monomial operators' matrices rho(z^e D^k), each formed once, by
-reducing z^e g_j^(k) below z^1, the part reduce_O reads, and kept as
-integer numerators over one denominator. Where the orders and
-truncations of alpha say a column might be unknown at z^0 or reach a
+the monomial operators' matrices rho(z^e D^k), each formed once and kept
+as integer numerators over one denominator. An entry is a lookup in the
+class table: column j is -sum_i g_j^(k)[i] [z^(e+i)] over the poles of
+z^e g_j^(k), with no series formed (see _table_entry). Where the orders
+and truncations of alpha say a column might be unknown at z^0 or reach a
 pole beyond the basis window, rho reduces alpha(g_j) itself, so the
 matrix, and any exception, is the one the full alpha(g_j) gives.
 refuse_before_rho raises that PrecisionExhausted from sketches of
@@ -63,9 +64,9 @@ per function that fills one, keyed by that function.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm
 
-from .laurent import LaurentSeries, PrecisionExhausted, invert, rational_to_str
+from .laurent import PrecisionExhausted, invert, rational_to_str
 from .linalg import det, row_echelon
 from .witt import DiffOp, _numerators, diffop_apply
 
@@ -216,7 +217,7 @@ def _quotient(exp, pairing):
     gap monomials, and D^-1 is the right half of the echelon form of
     [D | I]. classes maps a pole order m to the class of z^-m, D^-1 p(m),
     as integer numerators over one denominator (see _over_lcm), filled by
-    _reduce as it meets m.
+    _class_sum as it meets m.
     """
     records = _table(exp, _quotient)
     if pairing not in records:
@@ -242,10 +243,7 @@ def _reduce(series, exp, min_trunc, what, pairing):
     Serre duality, as (d, numerators): its gap coordinates are n/d.
 
     Once the input's truncation is checked, the class is the sum of
-    x_(-m) [z^-m] over the input's poles m, each [z^-m] = D^-1 p(m) read
-    off, or added to, the quotient's record (see _quotient). The sum
-    runs on integers: the term of pole m is over the denominator of
-    x_(-m) times that of [z^-m], and one lcm of these is d.
+    x_(-m) [z^-m] over the input's poles m (see _class_sum).
     """
     if series.trunc < min_trunc:
         raise _short(what, min_trunc, series.trunc)
@@ -254,19 +252,31 @@ def _reduce(series, exp, min_trunc, what, pairing):
         raise UnreducibleExponent(
             "%s reduction hit pole order %d, beyond the basis window %d "
             "at this precision" % (what, max(poles), exp.precision - 2))
-    pair, gaps, _, inverse, classes = _quotient(exp, pairing)
-    terms, d = [], 1
-    for m, c in poles.items():
+    return _class_sum([(m, c.numerator, c.denominator)
+                       for m, c in poles.items()], _quotient(exp, pairing))
+
+
+def _class_sum(terms, record):
+    """sum (n/c) [z^-m] over the terms (m, n, c), n and c integers, in the
+    quotient of the given record, as (d, numerators).
+
+    Each [z^-m] = D^-1 p(m) is read off, or added to, the record's class
+    table (see _quotient). The sum runs on integers: the term of pole m
+    is over c times the denominator of [z^-m], and one lcm of these is d.
+    """
+    pair, gaps, _, inverse, classes = record
+    scaled, d = [], 1
+    for m, n, c in terms:
         cls = classes.get(m)
         if cls is None:
             p = pair(m)
             cls = classes[m] = _over_lcm(
                 [sum(a * b for a, b in zip(row, p)) for row in inverse])
-        dm = c.denominator * cls[0]
-        terms.append((c.numerator, dm, cls[1]))
+        dm = c * cls[0]
+        scaled.append((n, dm, cls[1]))
         d = lcm(d, dm)
     acc = [0] * len(gaps)
-    for n, dm, nums in terms:
+    for n, dm, nums in scaled:
         n *= d // dm
         for j, x in enumerate(nums):
             acc[j] += n * x
@@ -334,13 +344,21 @@ def duality_det(exp):
 def _matrix_of_columns(columns, exp, sign=1):
     """The HomMatrix whose column j is sign times the class in H^1(O) of
     columns[j], read from an iterable of series in column order, so each
-    column is reduced before the next is formed. The columns' integer
-    classes (see _reduce) are brought over one lcm, with no Fraction."""
-    reduced = [_reduce(s, exp, 1, "H^1(O)", _pairing_O) for s in columns]
-    d = lcm(*(dj for dj, _ in reduced))
-    g = len(reduced)
+    column is reduced before the next is formed (see _matrix_of_classes).
+    """
+    return _matrix_of_classes(
+        [_reduce(s, exp, 1, "H^1(O)", _pairing_O) for s in columns], exp,
+        sign)
+
+
+def _matrix_of_classes(classes, exp, sign):
+    """The HomMatrix whose column j is sign times classes[j], a class in
+    H^1(O) as integers over a denominator (see _class_sum), the columns
+    brought over one lcm with no Fraction."""
+    d = lcm(*(dj for dj, _ in classes))
+    g = len(classes)
     nums = [0] * (g * g)
-    for j, (dj, col) in enumerate(reduced):
+    for j, (dj, col) in enumerate(classes):
         scale = sign * (d // dj)
         nums[j::g] = [scale * x for x in col]
     return HomMatrix._trusted(nums, d, _gaps_O(exp))
@@ -413,11 +431,35 @@ def refuse_before_rho(sketches, exp):
 def _table_entry(exp, k, e):
     """rho(z^e D^k) as (d, pairs): its nonzero entries are n/d for the
     (row-major position, integer n) pairs, d the lcm of their
-    denominators; formed once per expansion."""
+    denominators; formed once per expansion.
+
+    Column j is minus the class of z^e g_j^(k), whose poles are its terms
+    below z^0:
+
+        -sum_{0 <= i < -e} g_j^(k)[i] [z^(e+i)],
+        g_j^(k)[i] = (i+k)...(i+1) g_j[i+k],
+
+    each column summed on H^1(O)'s class table as _reduce sums a class
+    (see _class_sum), with no series formed. This is the matrix that
+    reducing z^e g_j^(k) below z^1 gives only where that reduction
+    cannot raise: where trunc g_j^(k) + e >= 1 and
+    e + ord g_j^(k) >= -(precision - 2) for every j. _table_rho, its one
+    caller, checks both before it reads an entry.
+    """
     table = _table(exp, _table_entry)
     entry = table.get((k, e))
     if entry is None:
-        m = _columns(DiffOp({k: LaurentSeries.monomial(e)}), exp)
+        record = _quotient(exp, _pairing_O)
+        columns = []
+        for gj in exp.h10_basis:
+            terms = []
+            for i in range(-e):
+                c = gj.coeffs.get(i + k)
+                if c:
+                    terms.append((-e - i, perm(i + k, k) * c.numerator,
+                                  c.denominator))
+            columns.append(_class_sum(terms, record))
+        m = _matrix_of_classes(columns, exp, -1)
         entry = table[k, e] = (m.denominator, tuple(
             (p, x) for p, x in enumerate(m.numerators) if x))
     return entry

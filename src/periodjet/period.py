@@ -49,6 +49,7 @@ on the upsilon term of nu2 is forced to + by the last requirement.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 from .hodge import (
@@ -77,10 +78,6 @@ def _series_key(s):
     return (tuple(sorted(s.coeffs.items())), s.trunc)
 
 
-def _hom_key(m):
-    return (m.basis_gaps, tuple(tuple(row) for row in m.entries))
-
-
 def _canonical(groups, key):
     """The one canonical form of a list of unordered groups: each group a
     tuple sorted by key, and the groups sorted by the keys of their
@@ -89,6 +86,16 @@ def _canonical(groups, key):
              for g in groups]
     keyed.sort(key=lambda g: [k for k, _ in g])
     return [tuple(x for _, x in g) for g in keyed]
+
+
+def _canonical_homs(groups):
+    """_canonical on groups of HomMatrices, ordered by the gaps and then
+    the rows of values. Each is keyed on its row-major numerators
+    brought to the groups' common denominator, with no Fraction formed:
+    scaling every value by the same positive number keeps their order."""
+    d = lcm(*(m.denominator for g in groups for m in g))
+    return _canonical(groups, lambda m: (
+        m.basis_gaps, tuple(x * (d // m.denominator) for x in m.numerators)))
 
 
 class T2Rep(object):
@@ -141,8 +148,8 @@ class JetImage(object):
         if not isinstance(other, JetImage):
             return NotImplemented
         return self.linear == other.linear and \
-            _canonical(self.quadratic, _hom_key) == \
-            _canonical(other.quadratic, _hom_key)
+            _canonical_homs(self.quadratic) == \
+            _canonical_homs(other.quadratic)
 
     def __repr__(self):
         return "JetImage(%r, %r)" % (self.linear, self.quadratic)
@@ -154,7 +161,7 @@ class SymProductSum(object):
     sums compare equal regardless of construction order."""
 
     def __init__(self, terms, interpretation=None):
-        self.terms = _canonical(terms, _hom_key)
+        self.terms = _canonical_homs(terms)
         self.interpretation = interpretation
 
     def __eq__(self, other):
@@ -306,9 +313,14 @@ def _pieces(words):
     that factor is composed on witt's kernel below this bound in turn
     (see _bounds).
     """
+    converted = {}  # by id: each distinct field converted once
+    for _, fields in words:
+        for zeta in fields:
+            if id(zeta) not in converted:
+                converted[id(zeta)] = _numerators({1: zeta.f})
     pieces = {}
     for c, fields in words:
-        ops = [_numerators({1: zeta.f}) for zeta in fields]
+        ops = [converted[id(zeta)] for zeta in fields]
         op = ops[0]
         for step, below in zip(ops[1:-1], _bounds(1, fields[2:])):
             op = _compose(step, op, below)

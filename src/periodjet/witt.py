@@ -33,7 +33,9 @@ weighted bracket, which witt_bracket takes at w = 1 and
 period.canonical_second_rep at w = 1/2.
 _sketch reads the truncation and the order of such a sum off its pieces
 without forming it, which lets the operator route refuse before it
-sums. diffop_apply and the contraction route keep Fraction products.
+sums. sp_witness reads each pairing off the operator's _Numerators,
+with no image formed. diffop_apply and the contraction route keep
+Fraction products.
 """
 
 from bisect import bisect_left
@@ -355,23 +357,53 @@ def sp_witness(op, radius):
     """Finite symplectic-compatibility certificate on monomials.
 
     True iff <op(z^a), z^b> = <op(z^b), z^a> for all a, b with
-    0 < |a|, |b| <= radius. Each pairing is read off the image:
-    <f, z^b> = b * f[-b], known when trunc f + b - 1 >= 0, the guard
-    laurent.symplectic_pair applies; otherwise PrecisionExhausted is
-    raised with residue()'s message.
+    0 < |a|, |b| <= radius. Each pairing is read off the operator's
+    terms, on integers over the lcm of its coefficients' denominators:
+    op(z^a) = sum_k a(a-1)...(a-k+1) a_k z^(a-k), so
+
+        <op(z^a), z^b> = b * op(z^a)[-b]
+                       = b * sum_k a(a-1)...(a-k+1) a_k[k-a-b],
+
+    and a term n z^e of a_k adds to the pairs with a + b = k - e. op(z^a)
+    is known below the smallest trunc a_k + a - k over the orders k
+    whose falling factorial at a is nonzero, and the pairing is known
+    when that truncation + b - 1 >= 0, the guard laurent.symplectic_pair
+    applies; otherwise PrecisionExhausted is raised with residue()'s
+    message. The pairs (a, b), b >= a, are met in ascending order, each
+    pairing's guard before the next, so the first refusal or asymmetry
+    is the one that forming the images and pairing them meets first.
     """
     exponents = [e for e in range(-radius, radius + 1) if e != 0]
-    images = {a: diffop_apply(op, LaurentSeries.monomial(a))
-              for a in exponents}
-
-    def pair(a, b):  # <op(z^a), z^b>
-        image = images[a]
-        _require_residue(image.trunc + b - 1)
-        return b * image.coeffs.get(-b, 0)
-
+    ops = _numerators(op.terms)
+    den = lcm(*[c.den for c in ops.values()])
+    known, pairs = {}, {}  # pairs[a][b] = den * op(z^a)[-b]
     for a in exponents:
-        for b in exponents:
-            # the identity is symmetric in (a, b)
-            if b >= a and pair(a, b) != pair(b, a):
-                return False
-    return True
+        known[a], row, falling = INF, {}, 1
+        for k in range(1, max(ops, default=0) + 1):
+            falling *= a - k + 1
+            c = ops.get(k)
+            if c is None or not falling:
+                continue
+            known[a] = min(known[a], c.trunc + a - k)
+            scale = falling * (den // c.den)
+            for e, n in c.terms:
+                b = k - e - a
+                row[b] = row.get(b, 0) + scale * n
+        pairs[a] = row
+
+    # (a, b) is refused where known[a] + b < 1 or known[b] + a < 1, and
+    # then so is (-radius, a) or (-radius, b): a refusal is met first in
+    # the first row, a = -radius, which is walked in order. Past it
+    # nothing is refused, and only whether some pair is asymmetric is
+    # left, which only the pairs a term of op reaches can be.
+    a = -radius
+    for b in exponents:
+        # the guards of <op(z^a), z^b>, then of <op(z^b), z^a>
+        if known[a] + b < 1 or known[b] + a < 1:
+            _require_residue(known[a] + b - 1)
+            _require_residue(known[b] + a - 1)
+        if b * pairs[a].get(b, 0) != a * pairs[b].get(a, 0):
+            return False
+    return all(b * n == a * pairs[b].get(a, 0)
+               for a, row in pairs.items() for b, n in row.items()
+               if b in pairs)

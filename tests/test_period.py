@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import tracemalloc
@@ -438,11 +439,51 @@ def test_canonical_order_is_the_sort_by_the_fraction_rows(data):
     want = sorted([tuple(sorted(g, key=key_by_fraction_rows))
                    for g in groups],
                   key=lambda g: [key_by_fraction_rows(x) for x in g])
-    got = period._canonical(groups, period._hom_key)
+    got = period._canonical_homs(groups)
     # the same members in the same places, ties kept in their input order
     assert [[id(x) for x in g] for g in got] == \
         [[id(x) for x in g] for g in want]
     assert all(type(g) is tuple for g in got)
+
+
+# 3 x 3 matrices over the gaps of a genus-3 curve: entries of both signs
+# over denominators up to 7, whose common denominators differ from sum
+# to sum; a few are built with equal values
+WIDE_ENTRIES = st.fractions(-3, 3, max_denominator=7)
+WIDE_MATRICES = st.builds(
+    lambda rows: HomMatrix(rows, [1, 3, 5]),
+    st.lists(st.lists(WIDE_ENTRIES, min_size=3, max_size=3), min_size=3,
+             max_size=3))
+WIDE_POOLS = st.lists(WIDE_MATRICES, min_size=1, max_size=4)
+UNIT = HomMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [1, 3, 5])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sym_product_sums_are_in_the_fraction_row_order(data):
+    pool = data.draw(WIDE_POOLS)
+    pool += [HomMatrix(m.entries, m.basis_gaps) for m in pool[:1]]
+    k = data.draw(st.integers(1, 3))
+    picks = data.draw(st.lists(st.lists(st.integers(0, len(pool) - 1),
+                                        min_size=k, max_size=k),
+                               max_size=4))
+    terms = [tuple(pool[i] for i in t) for t in picks]
+    want = sorted([tuple(sorted(t, key=key_by_fraction_rows))
+                   for t in terms],
+                  key=lambda t: [key_by_fraction_rows(x) for x in t])
+    got = SymProductSum(terms).terms
+    assert [[id(x) for x in t] for t in got] == \
+        [[id(x) for x in t] for t in want]
+    # a jet's pairs compare as unordered pairs of values, whatever the
+    # denominators
+    pairs = [t[:2] for t in terms if len(t) > 1]
+    linear = pool[0]
+    flipped = [(b, a) for a, b in reversed(pairs)]
+    assert JetImage(linear, pairs) == JetImage(linear, flipped)
+    if pairs:  # one value changed: another symbol
+        a, b = pairs[0]
+        changed = [(a + UNIT, b)] + pairs[1:]
+        assert JetImage(linear, changed) != JetImage(linear, pairs)
 
 
 def test_fundamental_form():
@@ -497,10 +538,13 @@ def test_nu2_pair_order_immaterial():
 
 # --- capped products against full-length references -----------------------
 
+@functools.cache
 def field_near_threshold(exp):
     """Fields with a pole, whose products with h = g_j' are known to just
     below or just above z^1 (the smallest order of h is 0), or exactly;
-    some have a pole at the edge of the basis window, precision - 2."""
+    some have a pole at the edge of the basis window, precision - 2.
+    Built once per curve: the properties that call it on every example
+    draw from one strategy."""
     edge = exp.precision - 2
     exponents = st.tuples(
         st.lists(st.integers(-8, -1), min_size=1, max_size=2),
@@ -639,6 +683,47 @@ def test_rho_table_entries_are_integer_numerators_over_their_lcm():
     assert len(dens) >= 20 and sum(d & (d - 1) != 0 for d in dens) >= 3
 
 
+def lookup_entries(exp):
+    """Every (k, e) whose entry rho's table reads, k = 1..4, up to the
+    basis window: the e < -ord g^(k) with a pole within precision - 2
+    and trunc g^(k) + e >= 1 (see hodge._table_rho)."""
+    edge = exp.precision - 2
+    keys = []
+    for k in range(1, 5):
+        o, t = derivative_bounds(exp, k)
+        keys += [(k, e) for e in range(-edge - o, -o) if t + e >= 1]
+    return keys
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED, dense_expansion(67, 6, 72)],
+                         ids=["x5+1", "x7-x+1", "dense-g3", "dense-g6"])
+def test_rho_table_lookups_are_the_full_length_reference(exp):
+    exp = expand_curve(exp.curve, exp.precision)  # a cold table, here
+    keys = lookup_entries(exp)
+    for k, e in keys:
+        rho(DiffOp({k: LaurentSeries.monomial(e)}), exp)
+    table = exp._hodge[hodge._table_entry]
+    assert sorted(table) == sorted(keys)
+    for (k, e), (d, pairs) in table.items():
+        m = full_rho(DiffOp({k: LaurentSeries.monomial(e)}), exp)
+        assert HomMatrix._trusted(
+            [dict(pairs).get(p, 0) for p in range(len(m.numerators))], d,
+            m.basis_gaps) == m
+
+
+def test_table_entry_forms_no_operator_image(monkeypatch):
+    exp = dense_expansion(61)  # a table of its own, filled here
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("diffop_apply called")
+    monkeypatch.setattr(hodge, "diffop_apply", forbidden)
+    monkeypatch.setattr(witt, "diffop_apply", forbidden)
+    keys = lookup_entries(exp)
+    for k, e in keys:
+        hodge._table_entry(exp, k, e)
+    assert len(exp._hodge[hodge._table_entry]) == len(keys) > 100
+
+
 def test_rho_tables_are_per_expansion():
     curves = ([1, 0, 0, 0, 0, 1], [2, 0, 1, 0, 0, 1])  # both genus 2
     a, b = (expand_curve(HyperellipticCurve(c), 30) for c in curves)
@@ -685,10 +770,11 @@ def test_nu2_is_minus_rho_of_its_operator(exp, data):
     assert outcome(nu2, rep, exp) == outcome(minus_rho_of_rep, rep, exp)
 
 
+@functools.cache
 def mixed_fields(exp):
     """Exact low-pole fields, zero fields, exact or known only below some
     z^t, and fields near the refusal threshold (see
-    field_near_threshold)."""
+    field_near_threshold). Built once per curve, as that is."""
     exact = st.builds(
         lambda es, cs: WittElement(LaurentSeries(dict(zip(es, cs)))),
         st.lists(st.integers(-3, 6), min_size=1, max_size=3),

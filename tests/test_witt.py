@@ -156,16 +156,23 @@ def sp_witness_by_pairing(op, radius):
     return True
 
 
+# what witness_operators draws from, built once: the orders, and per
+# order terms over mixed denominators and a truncation, exact or finite
+WITNESS_ORDERS = st.sets(st.integers(1, 3), max_size=3)
+WITNESS_TERMS = st.dictionaries(
+    st.integers(-8, 8), st.fractions(-3, 3, max_denominator=4), max_size=4)
+WITNESS_TRUNCATIONS = st.one_of(st.just(INF), st.integers(-8, 12))
+
+
 @st.composite
 def witness_operators(draw):
-    """Operators of order at most 2 whose coefficients are exact or known
-    only below a drawn truncation; order-1 ones are phi-images."""
+    """Operators of order at most 3 whose coefficients are exact or known
+    only below a truncation drawn per order; order-1 ones are
+    phi-images."""
     terms = {}
-    for k in draw(st.sets(st.integers(1, 2), max_size=2)):
-        coeffs = draw(st.dictionaries(st.integers(-8, 8),
-                                      st.integers(-3, 3), max_size=4))
-        trunc = draw(st.one_of(st.just(INF), st.integers(-8, 12)))
-        terms[k] = LaurentSeries(coeffs, trunc)
+    for k in draw(WITNESS_ORDERS):
+        terms[k] = LaurentSeries(draw(WITNESS_TERMS),
+                                 draw(WITNESS_TRUNCATIONS))
     return DiffOp(terms)
 
 
@@ -176,8 +183,8 @@ def _witness_outcome(fn, op, radius):
         return type(e), str(e)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(witness_operators(), st.integers(1, 6))
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(witness_operators(), st.integers(1, 8))
 def test_sp_witness_matches_the_pairing(op, radius):
     got = _witness_outcome(sp_witness, op, radius)
     assert got == _witness_outcome(sp_witness_by_pairing, op, radius)
