@@ -39,18 +39,6 @@ from .laurent import (
 from .witt import WittElement
 
 
-class GapCountMismatch(Exception):
-    """The Weierstrass gaps below the basis cutoffs are not g and 3g-3."""
-
-    def __init__(self, genus, gaps_O, gaps_Theta):
-        super().__init__(
-            "genus %d needs %d function gaps and %d field gaps, found "
-            "%r and %r" % (genus, genus, 3 * genus - 3, gaps_O, gaps_Theta))
-        self.genus = genus
-        self.gaps_O = gaps_O
-        self.gaps_Theta = gaps_Theta
-
-
 def default_precision(genus):
     return 8 * genus + 24
 
@@ -164,9 +152,7 @@ class CurveExpansion(object):
 
     Immutable after construction apart from internal caches, filled on
     first use: pole-order elements keyed by pole order, and one slot,
-    _hodge, that the hodge layer keeps its own state in. Raises
-    GapCountMismatch if the gaps below the basis cutoffs do not number g
-    and 3g-3.
+    _hodge, that the hodge layer keeps its own state in.
     """
 
     def __init__(self, curve, precision):
@@ -201,9 +187,6 @@ class CurveExpansion(object):
             self.element_of_pole_O, 4 * g + 2)
         self.theta_basis, self.gaps_Theta = _basis_and_gaps(
             self.element_of_pole_Theta, 6 * g - 2)
-        # Weierstrass gap counts; a mismatch means the cutoffs are wrong
-        if len(self.gaps_O) != g or len(self.gaps_Theta) != 3 * g - 3:
-            raise GapCountMismatch(g, self.gaps_O, self.gaps_Theta)
 
     def _monomial_pair(self, m, offset):
         """Solve 2a + (2g+1)b = m - offset with a >= 0, b in {0,1}."""

@@ -25,7 +25,8 @@ holds each [z^-m] as integer numerators over one denominator, and the
 sum runs on integers over one lcm: reduce_O and reduce_Theta make one
 Fraction per gap, and the matrices built from reduced columns (rho's
 per-column path and the contraction route, see _matrix_of_columns) and
-the rho table's entries none. Exponents >= 0 pair to zero, so inputs
+the rho table's entries none; those columns come as series, one
+Fraction per term below z^1. Exponents >= 0 pair to zero, so inputs
 are treated modulo H+ (respectively d+): a reduction reads only the
 polar part of its input, plus the check that the input is known below
 z^1 (respectively z^0), and reduce_O(x) equals reduce_O(x.truncate(1))
@@ -44,13 +45,14 @@ as integer numerators over one denominator. An entry is a lookup in the
 class table: column j is -sum_i g_j^(k)[i] [z^(e+i)] over the poles of
 z^e g_j^(k), with no series formed (see _table_entry). Where the orders
 and truncations of alpha say a column might be unknown at z^0 or reach a
-pole beyond the basis window, rho reduces alpha(g_j) itself, so the
-matrix, and any exception, is the one the full alpha(g_j) gives.
-refuse_before_rho raises that PrecisionExhausted from sketches of
-alpha's coefficients, before alpha is formed, where they decide it.
-The operator route hands its sum to _rho as witt's integer numerators,
-one denominator per order; the public rho brings a DiffOp's
-coefficients to them once.
+pole beyond the basis window, rho forms each alpha(g_j) below z^1 on
+witt's integer kernel and reduces it (see _columns), so the matrix, and
+any exception, is the one the full alpha(g_j) gives. Neither path
+multiplies Fraction series. refuse_before_rho raises that
+PrecisionExhausted from sketches of alpha's coefficients, before alpha
+is formed, where they decide it. The operator route hands its sum to
+_rho as witt's integer numerators, one denominator per order; the
+public rho brings a DiffOp's coefficients to them once.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
 with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>, the D of
@@ -68,7 +70,7 @@ from math import gcd, lcm, perm
 
 from .laurent import PrecisionExhausted, invert, rational_to_str
 from .linalg import det, row_echelon
-from .witt import DiffOp, _numerators, diffop_apply
+from .witt import _collect, _Numerators, _numerators, _sum_below
 
 
 class UnreducibleExponent(Exception):
@@ -364,10 +366,25 @@ def _matrix_of_classes(classes, exp, sign):
     return HomMatrix._trusted(nums, d, _gaps_O(exp))
 
 
-def _columns(op, exp):
-    """rho's matrix with each column, op(g_j) formed below z^1, reduced."""
-    return _matrix_of_columns(
-        (diffop_apply(op, gj, below=1) for gj in exp.h10_basis), exp, -1)
+def _columns(ops, exp):
+    """rho's matrix of the operator whose order-k coefficient is ops[k],
+    a _Numerators, with each column, op(g_j) formed below z^1, reduced.
+
+    op(g_j) = sum_k a_k g_j^(k) is the order-0 coefficient of op o g_j,
+    g_j taken as an operator of order 0, so witt._collect gathers its
+    pieces (1, a_k, g_j^(k)) on integer numerators and witt._sum_below
+    sums them below z^1, with the min-rule truncation of the full sum.
+    The product with a_k reads g_j^(k) only below z^(1 - ord a_k), so
+    g_j is cut at 1 + max_k(k - ord a_k) before it is brought to
+    numerators.
+    """
+    cut = 1 + max(k - a.min_rule_order() for k, a in ops.items())
+
+    def column(gj):
+        pieces = {}
+        _collect(ops, {0: _Numerators.of(gj.truncate(cut))}, 1, 1, pieces)
+        return _sum_below(pieces[0], 1).series()
+    return _matrix_of_columns(map(column, exp.h10_basis), exp, -1)
 
 
 def _derivative_orders(exp, k):
@@ -517,12 +534,11 @@ def _table_rho(ops, exp):
 def _rho(ops, exp):
     """rho of the operator whose order-k coefficient is ops[k], a
     _Numerators: read off the table where that is exact (see
-    _table_rho), otherwise each column reduced from the operator's
-    series."""
+    _table_rho), otherwise each column formed on those numerators and
+    reduced (see _columns)."""
     m = _table_rho(ops, exp)
     if m is None:
-        op = DiffOp({k: a.series() for k, a in ops.items()})
-        m = _columns(op, exp)
+        m = _columns(ops, exp)
     return m
 
 
@@ -530,9 +546,10 @@ def rho(op, exp):
     """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O).
 
     A sum over the expansion's table of monomial-operator matrices where
-    that is exact (see _table_rho), otherwise op(g_j) reduced column by
-    column: the matrix, and any exception, is the one the full op(g_j)
-    gives. op's coefficients are brought to integer numerators once.
+    that is exact (see _table_rho), otherwise op(g_j) formed below z^1
+    on integer numerators and reduced column by column (see _columns):
+    the matrix, and any exception, is the one the full op(g_j) gives.
+    op's coefficients are brought to integer numerators once.
     """
     return _rho(_numerators(op.terms), exp)
 

@@ -33,9 +33,11 @@ weighted bracket, which witt_bracket takes at w = 1 and
 period.canonical_second_rep at w = 1/2.
 _sketch reads the truncation and the order of such a sum off its pieces
 without forming it, which lets the operator route refuse before it
-sums. sp_witness reads each pairing off the operator's _Numerators,
-with no image formed. diffop_apply and the contraction route keep
-Fraction products.
+sums. hodge's rho forms the columns it cannot read off its table on
+the same kernel: op(g_j) is the order-0 coefficient of op o g_j.
+sp_witness reads each pairing off the operator's _Numerators, with no
+image formed. Of the operator code, only the public diffop_apply and
+the contraction oracle (period._contraction) multiply Fraction series.
 """
 
 from bisect import bisect_left
@@ -161,25 +163,20 @@ def phi(zeta):
     return DiffOp({1: zeta.f})
 
 
-def diffop_apply(op, g, below=INF):
+def diffop_apply(op, g):
     """Evaluate sum_k a_k g^(k); truncation follows the min-rule.
 
-    With a finite bound, only the terms below z^below are formed and the
-    result is exactly diffop_apply(op, g).truncate(below). The product
-    with a_k then reads g^(k) only below z^(below - ord a_k), that is g
-    below z^(below - ord a_k + k), so g is truncated at the largest of
-    these before it is differentiated (see laurent.product_below).
+    Each product is a full product of Fraction series (see
+    laurent.product_below); rho forms its columns on the integer kernel
+    instead (see hodge._columns).
     """
-    if below < INF and op.terms:
-        g = g.truncate(below + max(k - a.min_rule_order()
-                                   for k, a in op.terms.items()))
-    out = LaurentSeries.zero(below)
+    out = LaurentSeries.zero()
     dg, order = g, 0
     for k in sorted(op.terms):
         for _ in range(k - order):
             dg = derive(dg)
         order = k
-        out = out + product_below(op.terms[k], dg, below)
+        out = out + product_below(op.terms[k], dg, INF)
     return out
 
 

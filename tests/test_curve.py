@@ -6,9 +6,8 @@ import pytest
 from periodjet.laurent import (
     LaurentSeries, derive, integrate, invert, symplectic_pair)
 from periodjet.curve import (
-    CurveExpansion, GapCountMismatch, HyperellipticCurve, curve_from_json,
-    curve_to_json, default_precision, expand_curve, holomorphic_integrals,
-    precision_floor)
+    HyperellipticCurve, curve_from_json, curve_to_json, default_precision,
+    expand_curve, holomorphic_integrals, precision_floor)
 
 from series_reference import canon, fraction_sqrt_unit
 from test_period import dense_expansion
@@ -239,15 +238,3 @@ def test_expansion_matches_fraction_reference():
                 want = None if series is None else canon(series)
                 have = None if got[key] is None else canon(got[key])
                 assert have == want, (g, precision, key)
-
-
-def test_gap_count_mismatch_is_an_error(monkeypatch):
-    # a field basis that realizes nothing: every order below 6g-2 is a gap
-    monkeypatch.setattr(CurveExpansion, "element_of_pole_Theta",
-                        lambda self, m: None)
-    with pytest.raises(GapCountMismatch) as info:
-        expand_curve(C5, 40)
-    assert info.value.genus == 2
-    assert info.value.gaps_O == [1, 3]
-    assert info.value.gaps_Theta == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-    assert "[1, 3]" in str(info.value)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from periodjet import hodge, laurent, period, witt
 from periodjet.curve import (
@@ -711,12 +711,14 @@ def test_rho_table_lookups_are_the_full_length_reference(exp):
             m.basis_gaps) == m
 
 
+def forbidden(*args, **kwargs):
+    """A stand-in for a function that the code under test must not call."""
+    raise AssertionError("a forbidden function was called")
+
+
 def test_table_entry_forms_no_operator_image(monkeypatch):
     exp = dense_expansion(61)  # a table of its own, filled here
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("diffop_apply called")
-    monkeypatch.setattr(hodge, "diffop_apply", forbidden)
+    monkeypatch.setattr(hodge, "_columns", forbidden)
     monkeypatch.setattr(witt, "diffop_apply", forbidden)
     keys = lookup_entries(exp)
     for k, e in keys:
@@ -853,6 +855,34 @@ def test_contraction_matches_full_length_reference(exp, data):
     fields.append(data.draw(field_near_threshold(exp)))
     assert outcome(ell1_n_contraction, fields, exp) == \
         outcome(full_contraction, fields, exp)
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED],
+                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rho_columns_are_the_full_length_reference_on_integers(exp, data):
+    # rho's per-column path runs only where the table declines; here it
+    # runs on every operator, also those the table serves, and gives the
+    # matrix, or the refusal, of the full op(g_j), with every Fraction
+    # product forbidden
+    fields = data.draw(st.lists(mixed_fields(exp), min_size=1, max_size=2))
+    if data.draw(st.booleans()):
+        op = phi(fields[0])
+        for zeta in fields[1:]:
+            op = diffop_compose(phi(zeta), op)
+    else:  # any orders, not only those of composed phi-images
+        orders = data.draw(st.lists(st.integers(1, 4), min_size=len(fields),
+                                    max_size=len(fields), unique=True))
+        op = DiffOp({k: zeta.f for k, zeta in zip(orders, fields)})
+    ops = witt._numerators(op.terms)
+    assume(ops)  # rho's table gives the zero operator its zero matrix
+    want = outcome(full_rho, op, exp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(witt, "diffop_apply", forbidden)
+        mp.setattr(witt, "product_below", forbidden)
+        mp.setattr(laurent, "product_below", forbidden)
+        assert outcome(hodge._columns, ops, exp) == want
 
 
 # --- sound truncation: tail perturbation and precision monotonicity ------
