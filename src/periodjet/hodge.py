@@ -43,15 +43,23 @@ of alpha = sum a_(k,e) z^e D^k, so it is read off a per-curve table of
 the monomial operators' matrices rho(z^e D^k), each formed once and kept
 as integer numerators over one denominator. An entry is a lookup in the
 class table: column j is -sum_i g_j^(k)[i] [z^(e+i)] over the poles of
-z^e g_j^(k), with no series formed (see _table_entry). Where the orders
-and truncations of alpha say a column might be unknown at z^0 or reach a
-pole beyond the basis window, rho forms each alpha(g_j) below z^1 on
-witt's integer kernel and reduces it (see _columns), so the matrix, and
-any exception, is the one the full alpha(g_j) gives. Neither path
-multiplies Fraction series. refuse_before_rho raises that
-PrecisionExhausted from sketches of alpha's coefficients, before alpha
-is formed, where they decide it. The operator route hands its sum to
-_rho as witt's integer numerators, one denominator per order; the
+z^e g_j^(k), with no series formed (see _table_entry). Half the entries
+are zero by the involution z -> -z: each g_j has only odd exponents, so
+where e + k is odd z^e g_j^(k) has only even poles, and an even pole m
+has class zero, its pairings p(m) = -m g_i[m] being zero. So
+rho(z^e D^k) = 0 when e + k is odd, and the table reads, and forms, only
+the entries with e + k even (see _table_rho). Where the orders and
+truncations of alpha say a column might be unknown at z^0 or reach a
+pole beyond the basis window (see _table_serves), rho forms each
+alpha(g_j) below z^1 on witt's integer kernel and reduces it (see
+_columns), so the matrix, and any exception, is the one the full
+alpha(g_j) gives. Neither path multiplies Fraction series.
+_table_serves makes the same decision from sketches of alpha's
+coefficients before alpha is formed, and refuse_before_rho raises
+rho's PrecisionExhausted from them where they decide it. The operator
+route hands its sum to _table_rho as witt's integer numerators, one
+denominator per order, summed only at the parity the table reads where
+the sketches say the table serves, and in full to _rho otherwise; the
 public rho brings a DiffOp's coefficients to them once.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
@@ -404,6 +412,30 @@ def _derivative_orders(exp, k):
     return orders
 
 
+def _table_serves(sketches, exp):
+    """Whether rho's table gives the matrix of an operator whose order-k
+    coefficient a_k has the sketch sketches[k] = (t, o, exact) (see
+    witt._sketch): a_k is known below z^t and has no term below z^o.
+
+    Column j of the per-column path is known below the smallest of 1,
+    t + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no pole
+    deeper than -min_k(ord a_k + ord g_j^(k)). When every order clears
+    z^1 against the smallest order and the smallest truncation over the
+    g_j^(k), and has no term (o = t) or no pole beyond the basis window
+    precision - 2 against that order, every column is known below z^1
+    and reaches no pole beyond the window; so reduce_O is linear on the
+    columns and on every table entry they need, and none of them raises.
+    o is at most ord a_k, so where the sketches pass, so does the
+    operator: a formed coefficient's sketch is (trunc, ord, True).
+    """
+    window = exp.precision - 2
+    for k, (t, o, _) in sketches.items():
+        og, tg, _ = _derivative_orders(exp, k)
+        if t + og < 1 or tg + o < 1 or o < t and o + og < -window:
+            return False
+    return True
+
+
 def refuse_before_rho(sketches, exp):
     """Raise the PrecisionExhausted that rho raises on an operator of
     which only the sketches of its coefficients are known, where they
@@ -418,14 +450,12 @@ def refuse_before_rho(sketches, exp):
     does not rest on an order the sketch leaves open, reduce_O raises
     on column j, and this raises the same, provided each column before
     it is known below z^1 and reaches no pole beyond the basis window.
-    When every order clears z^1 against the smallest order and the
-    smallest truncation over the g_j^(k), so does every column, and it
-    returns at once.
+    Where the sketches say the table serves (see _table_serves), every
+    column clears z^1, and it returns at once.
     """
-    orders = {k: _derivative_orders(exp, k) for k in sketches}
-    if all(t + orders[k][0] >= 1 and orders[k][1] + o >= 1
-           for k, (t, o, _) in sketches.items()):
+    if _table_serves(sketches, exp):
         return
+    orders = {k: _derivative_orders(exp, k) for k in sketches}
     window = exp.precision - 2
     for j in range(len(exp.h10_basis)):
         trunc, known, deepest = 1, True, 1
@@ -461,7 +491,9 @@ def _table_entry(exp, k, e):
     reducing z^e g_j^(k) below z^1 gives only where that reduction
     cannot raise: where trunc g_j^(k) + e >= 1 and
     e + ord g_j^(k) >= -(precision - 2) for every j. _table_rho, its one
-    caller, checks both before it reads an entry.
+    caller, checks both before it reads an entry, and asks only for the
+    entries with e + k even: the others are zero, the poles of
+    z^e g_j^(k) being even.
     """
     table = _table(exp, _table_entry)
     entry = table.get((k, e))
@@ -485,18 +517,17 @@ def _table_entry(exp, k, e):
 def _table_rho(ops, exp):
     """rho of the operator whose order-k coefficient is ops[k], a
     _Numerators, as sum a_(k,e) rho(z^e D^k), or None when a column
-    might not reduce.
+    might not reduce: where _table_serves declines its coefficients.
 
-    Column j of the per-column path is known below the smallest of 1,
-    trunc a_k + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no
-    pole deeper than -min_k(ord a_k + ord g_j^(k)). When every such
-    truncation is 1 and every such pole order is within the basis window
-    precision - 2 (checked with the smallest order and truncation over
-    the g_j^(k)), reduce_O is linear on the columns and on every table
-    entry they need, and none of them raises; so an order that passes
-    these checks reads its entries before the next order is checked. A
-    term whose products have no pole adds nothing to a class and is
-    skipped.
+    rho(z^e D^k) is zero where e + k is odd: each g_j has only odd
+    exponents, so z^e g_j^(k) then has only even poles, and an even
+    pole's class is zero, its pairings -m g_i[m] being zero. So only the
+    terms with e = k (mod 2) are read, and the others are skipped before
+    any lookup: their entries are never formed. The operator route hands
+    over coefficients summed at that parity only (see witt._sum_below),
+    once the sketches of the full sums have passed _table_serves. A term
+    whose products have no pole adds nothing to a class and is skipped
+    too.
 
     The sum runs on integer numerators over one denominator. Order k
     reads its terms (e, n) over a_k.den, each against a table entry over
@@ -504,18 +535,18 @@ def _table_rho(ops, exp):
     its terms into the common denominator; the matrix keeps the sum,
     brought to lowest terms once.
     """
-    window = exp.precision - 2
+    if not _table_serves({k: (a.trunc, a.min_rule_order(), True)
+                          for k, a in ops.items()}, exp):
+        return None
     scaled, den = [], 1
     for k, a in ops.items():
-        o, t, _ = _derivative_orders(exp, k)
-        if a.trunc + o < 1 or t + a.min_rule_order() < 1:
-            return None
-        if a.terms and a.terms[0][0] + o < -window:
-            return None
+        o = _derivative_orders(exp, k)[0]
         read = []
         for e, n in a.terms:
             if e + o >= 0:
                 break
+            if (e + k) % 2:
+                continue
             d, entry = _table_entry(exp, k, e)
             if entry:
                 read.append((n, a.den * d, entry))

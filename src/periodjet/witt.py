@@ -33,7 +33,8 @@ weighted bracket, which witt_bracket takes at w = 1 and
 period.canonical_second_rep at w = 1/2.
 _sketch reads the truncation and the order of such a sum off its pieces
 without forming it, which lets the operator route refuse before it
-sums. hodge's rho forms the columns it cannot read off its table on
+sums, or decide that hodge's rho table serves the sum; then
+_sum_below forms only the terms of the parity that table reads. hodge's rho forms the columns it cannot read off its table on
 the same kernel: op(g_j) is the order-0 coefficient of op o g_j.
 sp_witness reads each pairing off the operator's _Numerators, with no
 image formed. Of the operator code, only the public diffop_apply and
@@ -230,7 +231,7 @@ def _numerators(terms):
             if a.coeffs or a.trunc is not INF}
 
 
-def _sum_below(pieces, cap):
+def _sum_below(pieces, cap, parity=None):
     """sum c * a * b over the pieces (c, a, b) of _Numerators a and b,
     c an int or a Fraction, truncated at cap, as adding the products as
     series gives it: the truncation is the smallest of cap and the
@@ -243,6 +244,13 @@ def _sum_below(pieces, cap):
     is a _Numerators brought to lowest terms by one gcd, so its den is
     the lcm of its coefficients' denominators, and 1 when it has no
     terms.
+
+    With a parity, only the terms at z^e with e = parity (mod 2) are
+    formed: each term z^e1 of a meets only the terms of b of parity
+    parity - e1, b's terms split by parity once per piece. The
+    truncation is the full sum's. rho's table reads only these terms of
+    an order-k coefficient at parity k, since rho(z^e D^k) is zero where
+    e + k is odd (see hodge._table_rho).
     """
     t, den, formed = cap, 1, []
     for c, a, b in pieces:
@@ -254,12 +262,18 @@ def _sum_below(pieces, cap):
     for c, a, b in formed:
         scale = c.numerator * (den // (c.denominator * a.den * b.den))
         lowest = b.terms[0][0]
+        if parity is None:
+            sides = (b.terms, b.terms)
+        else:  # sides[i]: the terms z^e2 of b with e2 - parity = i (mod 2)
+            sides = ([], [])
+            for term in b.terms:
+                sides[(term[0] - parity) % 2].append(term)
         for e1, n1 in a.terms:
             limit = t - e1
             if lowest >= limit:
                 break
             n1 *= scale
-            for e2, n2 in b.terms:
+            for e2, n2 in sides[e1 % 2]:
                 if e2 >= limit:
                     break
                 e = e1 + e2
@@ -320,10 +334,12 @@ def _collect(w, v, below, weight, pieces):
                     (weight * comb(k, i), a, derivatives[k - i]))
 
 
-def _summed(pieces, below):
+def _summed(pieces, below, parity=False):
     """The coefficient of each order collected in pieces, summed below
-    z^below (see _sum_below)."""
-    return {k: _sum_below(group, below) for k, group in pieces.items()}
+    z^below (see _sum_below); with parity, the coefficient of order k
+    only at the z^e with e = k (mod 2)."""
+    return {k: _sum_below(group, below, k % 2 if parity else None)
+            for k, group in pieces.items()}
 
 
 def _compose(w, v, below):

@@ -5,7 +5,8 @@ a field forward as iota_*(f(z) d/dz) = -f(-z) d/dz, that is
 c_e z^e -> (-1)^(e+1) c_e z^e, the truncation kept. It acts by -1 on
 H^{1,0} and on H^1(O), so by +1 on the matrices of every differential:
 ell1_n and nu2 of the pushed-forward fields are those of the fields, or
-the same refusal. Fields with only even exponents are anti-invariant,
+the same refusal, and so are ell_k_n's symmetrized products of them.
+Fields with only even exponents are anti-invariant,
 and nu1 kills them: the rank of nu1 is 2g-1 (Oort-Steenbrink).
 """
 
@@ -16,7 +17,7 @@ from periodjet.curve import default_precision
 from periodjet.laurent import INF, LaurentSeries
 from periodjet.linalg import row_echelon
 from periodjet.period import (
-    canonical_second_rep, ell1_n, nu1_image_generators, nu2)
+    canonical_second_rep, ell1_n, ell_k_n, nu1_image_generators, nu2)
 from periodjet.witt import WittElement
 
 from test_period import dense_expansion, outcome
@@ -39,6 +40,12 @@ def word(coeffs, trunc):
 
 WORDS = st.builds(word, st.lists(COEFFS, min_size=1, max_size=4), TRUNCS)
 PAIRS = st.builds(word, st.lists(COEFFS, min_size=2, max_size=2), TRUNCS)
+# words of two or three fields, exact or known below z^12, z^4 or z^1,
+# with a k = 2 or 3 of at most their length
+BLOCKS = st.builds(lambda fields, k: (fields, min(k, len(fields))),
+                   st.builds(word, st.lists(COEFFS, min_size=2, max_size=3),
+                             st.sampled_from([INF, 12, 4, 1])),
+                   st.sampled_from([2, 3]))
 
 
 def involution(zeta):
@@ -66,6 +73,16 @@ def test_nu2_is_invariant_under_the_involution(genus, pair):
     pushed = canonical_second_rep(involution(zeta), involution(xi))
     assert outcome(nu2, pushed, exp) == \
         outcome(nu2, canonical_second_rep(zeta, xi), exp)
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(blocks=BLOCKS)
+def test_ell_k_n_is_invariant_under_the_involution(genus, blocks):
+    exp = CURVES[genus]
+    fields, k = blocks
+    assert outcome(ell_k_n, [involution(f) for f in fields], k, exp) == \
+        outcome(ell_k_n, fields, k, exp)
 
 
 @pytest.mark.parametrize("genus", range(2, 10))

@@ -26,8 +26,8 @@ from periodjet.witt import (
     DiffOp, WittElement, diffop_compose, phi, witt_bracket)
 
 from series_reference import (
-    full_contraction, full_nu2, full_operator_route, full_rho, lie_on_form,
-    scaled)
+    full_compose, full_contraction, full_nu2, full_operator_route, full_rho,
+    lie_on_form, scaled)
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -50,6 +50,7 @@ def dense_expansion(seed, genus=3, precision=60):
 
 
 ED = dense_expansion(61)
+DENSE_G6 = dense_expansion(67, 6, 72)
 
 
 def mono(k, c=1):
@@ -241,8 +242,8 @@ def test_contraction_route_forms_as_many_terms_at_any_precision(
         return r
     sum_below = witt._sum_below
 
-    def counted_sum(pieces, cap):
-        r = sum_below(pieces, cap)
+    def counted_sum(pieces, cap, parity=None):
+        r = sum_below(pieces, cap, parity)
         formed.append(len(r.terms))
         return r
     monkeypatch.setattr(laurent, "product_below", counted_product)
@@ -684,9 +685,10 @@ def test_rho_table_entries_are_integer_numerators_over_their_lcm():
 
 
 def lookup_entries(exp):
-    """Every (k, e) whose entry rho's table reads, k = 1..4, up to the
-    basis window: the e < -ord g^(k) with a pole within precision - 2
-    and trunc g^(k) + e >= 1 (see hodge._table_rho)."""
+    """Every (k, e) whose entry rho's table could read, k = 1..4, up to
+    the basis window: the e < -ord g^(k) with a pole within
+    precision - 2 and trunc g^(k) + e >= 1 (see hodge._table_rho). It
+    reads those with e + k even."""
     edge = exp.precision - 2
     keys = []
     for k in range(1, 5):
@@ -695,7 +697,7 @@ def lookup_entries(exp):
     return keys
 
 
-@pytest.mark.parametrize("exp", [E5, E7, ED, dense_expansion(67, 6, 72)],
+@pytest.mark.parametrize("exp", [E5, E7, ED, DENSE_G6],
                          ids=["x5+1", "x7-x+1", "dense-g3", "dense-g6"])
 def test_rho_table_lookups_are_the_full_length_reference(exp):
     exp = expand_curve(exp.curve, exp.precision)  # a cold table, here
@@ -703,12 +705,117 @@ def test_rho_table_lookups_are_the_full_length_reference(exp):
     for k, e in keys:
         rho(DiffOp({k: LaurentSeries.monomial(e)}), exp)
     table = exp._hodge[hodge._table_entry]
-    assert sorted(table) == sorted(keys)
+    assert sorted(table) == sorted((k, e) for k, e in keys
+                                   if (k + e) % 2 == 0)
     for (k, e), (d, pairs) in table.items():
         m = full_rho(DiffOp({k: LaurentSeries.monomial(e)}), exp)
         assert HomMatrix._trusted(
             [dict(pairs).get(p, 0) for p in range(len(m.numerators))], d,
             m.basis_gaps) == m
+
+
+@pytest.mark.parametrize("exp", [E5, E7, ED, DENSE_G6],
+                         ids=["x5+1", "x7-x+1", "dense-g3", "dense-g6"])
+def test_rho_of_an_odd_parity_monomial_is_zero_and_never_read(exp):
+    # each g_j has only odd exponents, so where e + k is odd z^e g_j^(k)
+    # has only even poles, and an even pole's class is zero: rho(z^e D^k)
+    # is the zero matrix, and rho forms no table entry for it
+    exp = expand_curve(exp.curve, exp.precision)  # a cold table, here
+    odd = [(k, e) for k, e in lookup_entries(exp) if (k + e) % 2]
+    assert len(odd) > 50
+    for k, e in odd:
+        op = DiffOp({k: LaurentSeries.monomial(e)})
+        assert full_rho(op, exp).is_zero()
+        assert rho(op, exp).is_zero()
+    assert not exp._hodge.get(hodge._table_entry)
+
+
+@functools.cache
+def parity_words(exp):
+    """(kind, words): words (c, [f1, f2]) of exact fields whose last sum
+    meets the operator route's parity read at an edge. Order 1 of the
+    sum is c f2 f1' and order 2 is c f2 f1, so their lowest terms lie at
+    z^(a+b-1) and z^(a+b), a = ord f1 and b = ord f2:
+    - "dropped": a + b is odd, so each order's lowest term has e + k odd,
+      a term the table does not read;
+    - "cancel": the word again at -c, with f2 changed only above its
+      lowest term, so the lowest terms cancel and the sketch is not
+      exact;
+    - "beyond": a + b = -(precision - 2), so order 1 has a pole of order
+      precision - 1 against g_g' = 1 + ..., beyond the basis window; at
+      an odd precision its parity is the dropped one.
+    Built once per curve."""
+    edge = exp.precision - 2
+    kinds = st.sampled_from(["dropped", "cancel", "beyond"])
+    weights = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])
+    shallow = st.integers(-8, -1)
+    deep = st.integers(-edge // 2 - 2, -edge // 2 + 2)
+    odd = st.sampled_from([-3, -1, 1, 3])
+    coefficient = st.fractions(-4, 4, max_denominator=5).filter(bool)
+    above = st.dictionaries(st.integers(1, 6), coefficient, max_size=2)
+
+    def field(e, c, tail):
+        coeffs = {e + d: x for d, x in tail.items()}
+        coeffs[e] = c
+        return WittElement(LaurentSeries(coeffs))
+
+    @st.composite
+    def words(draw):
+        kind, c = draw(kinds), draw(weights)
+        if kind == "beyond":
+            a = draw(deep)
+            b = -edge - a
+        else:
+            a = draw(shallow)
+            b = a + draw(odd) if kind == "dropped" else draw(shallow)
+        f1 = field(a, draw(coefficient), draw(above))
+        lowest = draw(coefficient)
+        out = [(c, [f1, field(b, lowest, draw(above))])]
+        if kind == "cancel":
+            out.append((-c, [f1, field(b, lowest, draw(above))]))
+        return kind, out
+    return words()
+
+
+def full_words_rho(words, exp):
+    """rho of sum c phi(fn) o ... o phi(f1) over the words, every
+    composition and every column formed to the full precision."""
+    op = DiffOp.zero()
+    for c, fields in words:
+        w = phi(fields[0])
+        for zeta in fields[1:]:
+            w = full_compose(phi(zeta), w)
+        op = op + scaled(w, c)
+    return full_rho(op, exp)
+
+
+ODD_P = [expand_curve(E5.curve, 41), E7, ED, expand_curve(ED.curve, 61)]
+
+
+@pytest.mark.parametrize("exp", ODD_P,
+                         ids=["x5+1-P41", "x7-x+1", "dense-g3",
+                              "dense-g3-P61"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_operator_route_parity_read_is_the_full_length_reference(exp,
+                                                                 data):
+    # the table serves from the sum's terms of one parity only where the
+    # sketches clear it; elsewhere the route sums every term, and refuses
+    # as the full operator does, also where the lowest pole beyond the
+    # basis window has the parity the table does not read
+    kind, words = data.draw(parity_words(exp))
+    sketches = {k: witt._sketch(g, 1)
+                for k, g in period._pieces(words).items()}
+    got = outcome(period._operator, words, exp)
+    assert got == outcome(full_words_rho, words, exp)
+    if kind == "dropped":
+        assert all(exact and (o + k) % 2
+                   for k, (t, o, exact) in sketches.items() if o < t)
+    elif kind == "cancel":
+        assert not all(exact for _, _, exact in sketches.values())
+    else:
+        assert not hodge._table_serves(sketches, exp)
+        assert got[0] is UnreducibleExponent
 
 
 def forbidden(*args, **kwargs):
@@ -1019,15 +1126,16 @@ def test_ell1_n_forms_its_composition_only_below_z1(monkeypatch):
     products, handed = [], []
     sum_below = witt._sum_below
 
-    def recorded_sum(pieces, cap):
+    def recorded_sum(pieces, cap, parity=None):
         products.extend((a, b, cap) for _, a, b in pieces)
-        return sum_below(pieces, cap)
+        return sum_below(pieces, cap, parity)
 
     def recorded_rho(op, exp):
         handed.append(op)
         return HomMatrix([], [])
     monkeypatch.setattr(witt, "_sum_below", recorded_sum)
     monkeypatch.setattr(period, "_rho", recorded_rho)
+    monkeypatch.setattr(period, "_table_rho", recorded_rho)
     rng = random.Random(71)
     for n in (2, 3, 4):
         for _ in range(4):
