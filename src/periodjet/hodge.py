@@ -421,17 +421,18 @@ def _table_serves(sketches, exp):
     t + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no pole
     deeper than -min_k(ord a_k + ord g_j^(k)). When every order clears
     z^1 against the smallest order and the smallest truncation over the
-    g_j^(k), and has no term (o = t) or no pole beyond the basis window
-    precision - 2 against that order, every column is known below z^1
-    and reaches no pole beyond the window; so reduce_O is linear on the
-    columns and on every table entry they need, and none of them raises.
-    o is at most ord a_k, so where the sketches pass, so does the
-    operator: a formed coefficient's sketch is (trunc, ord, True).
+    g_j^(k), and has no pole beyond the basis window precision - 2
+    against that order, every column is known below z^1 and reaches no
+    pole beyond the window; so reduce_O is linear on the columns and on
+    every table entry they need, and none of them raises. A coefficient
+    with no term (o = t) clears the window once it clears z^1. o is at
+    most ord a_k, so where the sketches pass, so does the operator: a
+    formed coefficient's sketch is (trunc, ord, True).
     """
     window = exp.precision - 2
     for k, (t, o, _) in sketches.items():
         og, tg, _ = _derivative_orders(exp, k)
-        if t + og < 1 or tg + o < 1 or o < t and o + og < -window:
+        if t + og < 1 or tg + o < 1 or o + og < -window:
             return False
     return True
 
@@ -491,7 +492,8 @@ def _table_entry(exp, k, e):
     reducing z^e g_j^(k) below z^1 gives only where that reduction
     cannot raise: where trunc g_j^(k) + e >= 1 and
     e + ord g_j^(k) >= -(precision - 2) for every j. _table_rho, its one
-    caller, checks both before it reads an entry, and asks only for the
+    caller, checks both before it reads an entry, reads a formed entry
+    off the table itself and calls this on a miss, and asks only for the
     entries with e + k even: the others are zero, the poles of
     z^e g_j^(k) being even.
     """
@@ -538,6 +540,7 @@ def _table_rho(ops, exp):
     if not _table_serves({k: (a.trunc, a.min_rule_order(), True)
                           for k, a in ops.items()}, exp):
         return None
+    table = _table(exp, _table_entry)
     scaled, den = [], 1
     for k, a in ops.items():
         o = _derivative_orders(exp, k)[0]
@@ -547,7 +550,7 @@ def _table_rho(ops, exp):
                 break
             if (e + k) % 2:
                 continue
-            d, entry = _table_entry(exp, k, e)
+            d, entry = table.get((k, e)) or _table_entry(exp, k, e)
             if entry:
                 read.append((n, a.den * d, entry))
         den = lcm(den, *[d for _, d, _ in read])

@@ -33,9 +33,10 @@ weighted bracket, which witt_bracket takes at w = 1 and
 period.canonical_second_rep at w = 1/2.
 _sketch reads the truncation and the order of such a sum off its pieces
 without forming it, which lets the operator route refuse before it
-sums, or decide that hodge's rho table serves the sum; then
-_sum_below forms only the terms of the parity that table reads. hodge's rho forms the columns it cannot read off its table on
-the same kernel: op(g_j) is the order-0 coefficient of op o g_j.
+sums, or decide that hodge's rho table serves the sum; then _sum_below
+forms only the terms of the parity that table reads. hodge's rho forms
+the columns it cannot read off its table on the same kernel: op(g_j) is
+the order-0 coefficient of op o g_j.
 sp_witness reads each pairing off the operator's _Numerators, with no
 image formed. Of the operator code, only the public diffop_apply and
 the contraction oracle (period._contraction) multiply Fraction series.
