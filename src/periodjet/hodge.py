@@ -23,13 +23,13 @@ classes [z^-m] = D^-1 p(m), filled one pole order at a time. A class is
 the sum of x_(-m) [z^-m] over the poles of its input x. The class table
 holds each [z^-m] as integer numerators over one denominator, and the
 sum runs on integers over one lcm: reduce_O and reduce_Theta make one
-Fraction per gap, and the matrices built from reduced columns (rho's
-per-column path and the contraction route, see _matrix_of_columns) and
-the rho table's entries none; those columns come as series, one
-Fraction per term below z^1. Exponents >= 0 pair to zero, so inputs
-are treated modulo H+ (respectively d+): a reduction reads only the
-polar part of its input, plus the check that the input is known below
-z^1 (respectively z^0), and reduce_O(x) equals reduce_O(x.truncate(1))
+Fraction per gap, and the matrices built from reduced columns (the
+contraction route's, see _matrix_of_columns) and the rho table's entries
+none; the contraction route's columns come as series, one Fraction per
+term below z^1. Exponents >= 0 pair to zero, so inputs are treated
+modulo H+ (respectively d+): a reduction reads only the polar part of
+its input, plus the check that the input is known below z^1
+(respectively z^0), and reduce_O(x) equals reduce_O(x.truncate(1))
 exactly, raised exceptions included. A pole order beyond precision - 2,
 the window in which the expansion's pole-order elements are known,
 raises UnreducibleExponent.
@@ -48,19 +48,26 @@ are zero by the involution z -> -z: each g_j has only odd exponents, so
 where e + k is odd z^e g_j^(k) has only even poles, and an even pole m
 has class zero, its pairings p(m) = -m g_i[m] being zero. So
 rho(z^e D^k) = 0 when e + k is odd, and the table reads, and forms, only
-the entries with e + k even (see _table_rho). Where the orders and
-truncations of alpha say a column might be unknown at z^0 or reach a
-pole beyond the basis window (see _table_serves), rho forms each
-alpha(g_j) below z^1 on witt's integer kernel and reduces it (see
-_columns), so the matrix, and any exception, is the one the full
-alpha(g_j) gives. Neither path multiplies Fraction series.
-_table_serves makes the same decision from sketches of alpha's
-coefficients before alpha is formed, and refuse_before_rho raises
-rho's PrecisionExhausted from them where they decide it. The operator
-route hands its sum to _table_rho as witt's integer numerators, one
-denominator per order, summed only at the parity the table reads where
-the sketches say the table serves, and in full to _rho otherwise; the
-public rho brings a DiffOp's coefficients to them once.
+the entries with e + k even (see _table_rho).
+
+The table is exact where the orders and truncations of alpha's
+coefficients say that every column is known below z^1 and reaches no
+pole beyond the basis window (see _table_serves). Everywhere else rho
+refuses, and the refusal is read off orders, truncations and one
+coefficient per column, with no column formed (see _refuse). That rests
+on what the expansion gives every g_j: ord g_j = 2(g-j)+1 >= 1, g_j is
+known below z^(precision + ord g_j), and g_g = -2z + ..., so a column
+known below z^1 has no pole deeper than precision - 1, and the one
+coefficient there decides whether it passes the window. Wherever the
+table declines, some column is unknown at z^0 or has a nonzero
+coefficient at that pole: rho is its table or a refusal. _table_serves makes the same decision from
+sketches of alpha's coefficients before alpha is formed, and the same
+walk, _refuse, raises rho's PrecisionExhausted from them where they
+decide it. The operator route hands its sum to _table_rho as witt's
+integer numerators, one denominator per order, summed only at the
+parity the table reads where the sketches say the table serves, and in
+full to _rho otherwise; the public rho brings a DiffOp's coefficients
+to them once.
 
 A matrix M represents a symmetric map exactly when D*M is symmetric,
 with D the duality pairing matrix D(i,j) = <g_i, z^-n_j>, the D of
@@ -78,7 +85,7 @@ from math import gcd, lcm, perm
 
 from .laurent import PrecisionExhausted, invert, rational_to_str
 from .linalg import det, row_echelon
-from .witt import _collect, _Numerators, _numerators, _sum_below
+from .witt import _numerators
 
 
 class UnreducibleExponent(Exception):
@@ -248,6 +255,14 @@ def _short(what, min_trunc, trunc):
         % (what, min_trunc, trunc))
 
 
+def _beyond(what, pole, window):
+    """The refusal of a reduction whose input has a pole beyond the basis
+    window."""
+    return UnreducibleExponent(
+        "%s reduction hit pole order %d, beyond the basis window %d "
+        "at this precision" % (what, pole, window))
+
+
 def _reduce(series, exp, min_trunc, what, pairing):
     """The class of series in the quotient with the given pairing, by
     Serre duality, as (d, numerators): its gap coordinates are n/d.
@@ -259,9 +274,7 @@ def _reduce(series, exp, min_trunc, what, pairing):
         raise _short(what, min_trunc, series.trunc)
     poles = {-e: c for e, c in series.coeffs.items() if e < 0}
     if poles and max(poles) > exp.precision - 2:
-        raise UnreducibleExponent(
-            "%s reduction hit pole order %d, beyond the basis window %d "
-            "at this precision" % (what, max(poles), exp.precision - 2))
+        raise _beyond(what, max(poles), exp.precision - 2)
     return _class_sum([(m, c.numerator, c.denominator)
                        for m, c in poles.items()], _quotient(exp, pairing))
 
@@ -351,14 +364,14 @@ def duality_det(exp):
     return det(_quotient(exp, _pairing_O)[2])
 
 
-def _matrix_of_columns(columns, exp, sign=1):
-    """The HomMatrix whose column j is sign times the class in H^1(O) of
-    columns[j], read from an iterable of series in column order, so each
-    column is reduced before the next is formed (see _matrix_of_classes).
+def _matrix_of_columns(columns, exp):
+    """The HomMatrix whose column j is the class in H^1(O) of columns[j],
+    read from an iterable of series in column order, so each column is
+    reduced before the next is formed (see _matrix_of_classes). The
+    contraction route builds its matrices so; rho forms no column.
     """
     return _matrix_of_classes(
-        [_reduce(s, exp, 1, "H^1(O)", _pairing_O) for s in columns], exp,
-        sign)
+        [_reduce(s, exp, 1, "H^1(O)", _pairing_O) for s in columns], exp, 1)
 
 
 def _matrix_of_classes(classes, exp, sign):
@@ -372,27 +385,6 @@ def _matrix_of_classes(classes, exp, sign):
         scale = sign * (d // dj)
         nums[j::g] = [scale * x for x in col]
     return HomMatrix._trusted(nums, d, _gaps_O(exp))
-
-
-def _columns(ops, exp):
-    """rho's matrix of the operator whose order-k coefficient is ops[k],
-    a _Numerators, with each column, op(g_j) formed below z^1, reduced.
-
-    op(g_j) = sum_k a_k g_j^(k) is the order-0 coefficient of op o g_j,
-    g_j taken as an operator of order 0, so witt._collect gathers its
-    pieces (1, a_k, g_j^(k)) on integer numerators and witt._sum_below
-    sums them below z^1, with the min-rule truncation of the full sum.
-    The product with a_k reads g_j^(k) only below z^(1 - ord a_k), so
-    g_j is cut at 1 + max_k(k - ord a_k) before it is brought to
-    numerators.
-    """
-    cut = 1 + max(k - a.min_rule_order() for k, a in ops.items())
-
-    def column(gj):
-        pieces = {}
-        _collect(ops, {0: _Numerators.of(gj.truncate(cut))}, 1, 1, pieces)
-        return _sum_below(pieces[0], 1).series()
-    return _matrix_of_columns(map(column, exp.h10_basis), exp, -1)
 
 
 def _derivative_orders(exp, k):
@@ -417,7 +409,7 @@ def _table_serves(sketches, exp):
     coefficient a_k has the sketch sketches[k] = (t, o, exact) (see
     witt._sketch): a_k is known below z^t and has no term below z^o.
 
-    Column j of the per-column path is known below the smallest of 1,
+    Column j, op(g_j) = sum_k a_k g_j^(k), is known below the smallest of
     t + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no pole
     deeper than -min_k(ord a_k + ord g_j^(k)). When every order clears
     z^1 against the smallest order and the smallest truncation over the
@@ -427,7 +419,8 @@ def _table_serves(sketches, exp):
     every table entry they need, and none of them raises. A coefficient
     with no term (o = t) clears the window once it clears z^1. o is at
     most ord a_k, so where the sketches pass, so does the operator: a
-    formed coefficient's sketch is (trunc, ord, True).
+    formed coefficient's sketch is (trunc, ord, True). Where the formed
+    coefficients do not pass, rho refuses (see _refuse).
     """
     window = exp.precision - 2
     for k, (t, o, _) in sketches.items():
@@ -437,43 +430,58 @@ def _table_serves(sketches, exp):
     return True
 
 
-def refuse_before_rho(sketches, exp):
-    """Raise the PrecisionExhausted that rho raises on an operator of
-    which only the sketches of its coefficients are known, where they
-    decide it; else return, and rho forms what it reads.
+def _refuse(sketches, exp, ops=None):
+    """Raise what rho raises on an operator that its table declines (see
+    _table_serves), where the sketches of its coefficients decide it;
+    else return. With ops, the formed coefficients, it always raises.
 
     sketches maps each order k of the operator to the sketch
-    (t, o, exact) of its coefficient a_k (see witt._sketch). Where the
-    table cannot serve, rho reduces the columns in order. Column j, the
-    sum of a_k g_j^(k) below z^1, is known below the smallest of 1,
-    t + ord g_j^(k) and trunc g_j^(k) + ord a_k, and has no pole deeper
-    than -min_k(o + ord g_j^(k)). Where that truncation is below 1 and
-    does not rest on an order the sketch leaves open, reduce_O raises
-    on column j, and this raises the same, provided each column before
-    it is known below z^1 and reaches no pole beyond the basis window.
-    Where the sketches say the table serves (see _table_serves), every
-    column clears z^1, and it returns at once.
+    (t, o, exact) of its coefficient a_k (see witt._sketch); ops, where
+    given, maps k to a_k as _Numerators, and sketches[k] is then
+    (trunc, ord, True). Reducing the columns op(g_j) in order would
+    refuse the first that is known only below some z^trunc, trunc < 1,
+    or has a pole beyond the basis window precision - 2. Column j is
+    known below the smallest of 1, t + ord g_j^(k) and
+    trunc g_j^(k) + ord a_k; that bound is the column's truncation
+    unless it rests on an order the sketch leaves open. Where it is 1,
+    every product a_k g_j^(k) starts at or above z^(1-P), P the
+    precision, as trunc g_j^(k) = P + ord g_j - k and
+    ord g_j^(k) >= ord g_j - k. So the only pole beyond the window is
+    z^(1-P), at which the products with ord a_k + ord g_j^(k) = 1 - P
+    add their lowest coefficients: ops decide that sum, a sketch does
+    not.
+
+    Where _table_serves declines the formed coefficients, some order
+    has trunc a_k + ord g_j^(k) < 1 or trunc g_j^(k) + ord a_k < 1 for
+    the j of the smallest bound, a column this walk refuses unless an
+    earlier one does; or every column is known below z^1 and
+    ord a_1 = 1 - P against ord g_g' = 0, and column g refuses, a_1's
+    lowest term against g_g = -2z + ... being the only product at
+    z^(1-P). So rho never reaches the table on an operator it declines.
     """
-    if _table_serves(sketches, exp):
-        return
-    orders = {k: _derivative_orders(exp, k) for k in sketches}
+    orders = {k: _derivative_orders(exp, k)[2] for k in sketches}
     window = exp.precision - 2
-    for j in range(len(exp.h10_basis)):
-        trunc, known, deepest = 1, True, 1
+    for j, gj in enumerate(exp.h10_basis):
+        trunc, known, deep = 1, True, []
         for k, (t, o, exact) in sketches.items():
-            og, tg = orders[k][2][j]
+            og, tg = orders[k][j]
             for bound, sure in ((t + og, True), (tg + o, exact)):
                 if bound < trunc:
                     trunc, known = bound, sure
                 elif bound == trunc:
                     known = known or sure
-            deepest = min(deepest, o + og)
+            if o + og < -window:
+                deep.append((k, og + k))
         if trunc < 1:
             if known:
                 raise _short("H^1(O)", 1, trunc)
             return
-        if deepest < -window:
-            return
+        if deep:
+            if ops is None:
+                return
+            if sum(Fraction(ops[k].terms[0][1], ops[k].den) *
+                   perm(e, k) * gj.coeff(e) for k, e in deep):
+                raise _beyond("H^1(O)", window + 1, window)
 
 
 def _table_entry(exp, k, e):
@@ -492,10 +500,10 @@ def _table_entry(exp, k, e):
     reducing z^e g_j^(k) below z^1 gives only where that reduction
     cannot raise: where trunc g_j^(k) + e >= 1 and
     e + ord g_j^(k) >= -(precision - 2) for every j. _table_rho, its one
-    caller, checks both before it reads an entry, reads a formed entry
-    off the table itself and calls this on a miss, and asks only for the
-    entries with e + k even: the others are zero, the poles of
-    z^e g_j^(k) being even.
+    caller, reads an entry only where _table_serves has passed, which
+    implies both, reads a formed entry off the table itself and calls
+    this on a miss, and asks only for the entries with e + k even: the
+    others are zero, the poles of z^e g_j^(k) being even.
     """
     table = _table(exp, _table_entry)
     entry = table.get((k, e))
@@ -518,16 +526,18 @@ def _table_entry(exp, k, e):
 
 def _table_rho(ops, exp):
     """rho of the operator whose order-k coefficient is ops[k], a
-    _Numerators, as sum a_(k,e) rho(z^e D^k), or None when a column
-    might not reduce: where _table_serves declines its coefficients.
+    _Numerators, as sum a_(k,e) rho(z^e D^k). That is rho's matrix where
+    _table_serves passes the coefficients' sketches, which its callers
+    check first: on the pieces' sketches before the sum is formed, or on
+    the formed coefficients (see _rho).
 
     rho(z^e D^k) is zero where e + k is odd: each g_j has only odd
     exponents, so z^e g_j^(k) then has only even poles, and an even
     pole's class is zero, its pairings -m g_i[m] being zero. So only the
     terms with e = k (mod 2) are read, and the others are skipped before
     any lookup: their entries are never formed. The operator route hands
-    over coefficients summed at that parity only (see witt._sum_below),
-    once the sketches of the full sums have passed _table_serves. A term
+    over coefficients summed at that parity only (see witt._sum_below).
+    A term
     whose products have no pole adds nothing to a class and is skipped
     too.
 
@@ -537,9 +547,6 @@ def _table_rho(ops, exp):
     its terms into the common denominator; the matrix keeps the sum,
     brought to lowest terms once.
     """
-    if not _table_serves({k: (a.trunc, a.min_rule_order(), True)
-                          for k, a in ops.items()}, exp):
-        return None
     table = _table(exp, _table_entry)
     scaled, den = [], 1
     for k, a in ops.items():
@@ -567,23 +574,25 @@ def _table_rho(ops, exp):
 
 def _rho(ops, exp):
     """rho of the operator whose order-k coefficient is ops[k], a
-    _Numerators: read off the table where that is exact (see
-    _table_rho), otherwise each column formed on those numerators and
-    reduced (see _columns)."""
-    m = _table_rho(ops, exp)
-    if m is None:
-        m = _columns(ops, exp)
-    return m
+    _Numerators: read off the table where _table_serves passes the
+    sketches (trunc, ord, True) of those coefficients (see _table_rho),
+    and refused otherwise (see _refuse), with no column formed."""
+    sketches = {k: (a.trunc, a.min_rule_order(), True)
+                for k, a in ops.items()}
+    if not _table_serves(sketches, exp):
+        _refuse(sketches, exp, ops)
+    return _table_rho(ops, exp)
 
 
 def rho(op, exp):
     """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O).
 
     A sum over the expansion's table of monomial-operator matrices where
-    that is exact (see _table_rho), otherwise op(g_j) formed below z^1
-    on integer numerators and reduced column by column (see _columns):
-    the matrix, and any exception, is the one the full op(g_j) gives.
-    op's coefficients are brought to integer numerators once.
+    that is exact (see _table_rho); otherwise the PrecisionExhausted or
+    UnreducibleExponent that reducing the full op(g_j) in column order
+    raises, read off orders, truncations and one coefficient per column
+    (see _refuse). op's coefficients are brought to integer numerators
+    once.
     """
     return _rho(_numerators(op.terms), exp)
 

@@ -53,8 +53,8 @@ from math import lcm
 from operator import itemgetter
 
 from .hodge import (
-    _matrix_of_columns, _rho, _table_rho, _table_serves, hom_to_json,
-    refuse_before_rho)
+    _matrix_of_columns, _refuse, _rho, _table_rho, _table_serves,
+    hom_to_json)
 from .laurent import INF, LaurentSeries, derive, product_below
 from .laurent import from_json as series_from_json
 from .linalg import in_row_span
@@ -342,12 +342,12 @@ def _operator(words, exp):
     each order k is summed below z^1 only at the z^e with e = k (mod 2),
     the terms the table reads (see hodge._table_rho), and no other
     product is formed. Where it does not, the sketches decide rho's
-    PrecisionExhausted where they can (hodge.refuse_before_rho), so
-    fields known too little for z^1 are refused without forming their
-    last products; then each order is summed in full below z^1, and rho
-    raises, or gives the matrix, from the sum. A lone one-field word
-    c [f] has nothing to sum: rho reads c f itself, and raises what the
-    sketch would.
+    PrecisionExhausted where they can (hodge._refuse), so fields known
+    too little for z^1 are refused without forming their last products;
+    then each order is summed in full below z^1, and rho raises, or
+    gives the matrix, from the sum. A lone one-field word c [f] has
+    nothing to sum: rho reads c f itself, and raises what the sketch
+    would.
     """
     if len(words) == 1 and len(words[0][1]) == 1:
         (c, (zeta,)), = words
@@ -356,7 +356,7 @@ def _operator(words, exp):
     sketches = {k: _sketch(group, 1) for k, group in pieces.items()}
     if _table_serves(sketches, exp):
         return _table_rho(_summed(pieces, 1, parity=True), exp)
-    refuse_before_rho(sketches, exp)
+    _refuse(sketches, exp)
     return _rho(_summed(pieces, 1), exp)
 
 

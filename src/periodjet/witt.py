@@ -35,8 +35,7 @@ _sketch reads the truncation and the order of such a sum off its pieces
 without forming it, which lets the operator route refuse before it
 sums, or decide that hodge's rho table serves the sum; then _sum_below
 forms only the terms of the parity that table reads. hodge's rho forms
-the columns it cannot read off its table on the same kernel: op(g_j) is
-the order-0 coefficient of op o g_j.
+no column: it reads its table, or refuses from orders and truncations.
 sp_witness reads each pairing off the operator's _Numerators, with no
 image formed. Of the operator code, only the public diffop_apply and
 the contraction oracle (period._contraction) multiply Fraction series.
@@ -169,8 +168,8 @@ def diffop_apply(op, g):
     """Evaluate sum_k a_k g^(k); truncation follows the min-rule.
 
     Each product is a full product of Fraction series (see
-    laurent.product_below); rho forms its columns on the integer kernel
-    instead (see hodge._columns).
+    laurent.product_below). rho never applies its operator: it reads
+    its table or refuses (see hodge._refuse).
     """
     out = LaurentSeries.zero()
     dg, order = g, 0

@@ -10,7 +10,7 @@ from periodjet.curve import (
     expand_curve, holomorphic_integrals, precision_floor)
 
 from series_reference import canon, fraction_sqrt_unit
-from test_period import dense_expansion
+from test_period import DENSE_G6, ED, dense_expansion
 
 C5 = HyperellipticCurve([1, 0, 0, 0, 0, 1])          # y^2 = x^5 + 1
 C7 = HyperellipticCurve([1, -1, 0, 0, 0, 0, 0, 1])   # y^2 = x^7 - x + 1
@@ -84,8 +84,16 @@ def test_holomorphic_integrals_fixture():
     assert holomorphic_integrals(e) == (e.h10_forms, e.h10_basis)
     e3 = exp7()
     assert [s.order() for s in e3.h10_basis] == [5, 3, 1]
-    for i, s in enumerate(e3.h10_basis):
-        assert s.trunc == e3.precision + 2 * 3 - 2 * (i + 1) + 1
+    # rho's refusal rests on these (see hodge._refuse), at any precision
+    floor = [expand_curve(c, precision_floor(c.genus) + d)
+             for c in (C5, C7) for d in (0, 1)]
+    for exp in [e, e3, ED, DENSE_G6] + floor:
+        g = exp.curve.genus
+        for j, s in enumerate(exp.h10_basis, 1):
+            assert s.order() == 2 * (g - j) + 1
+            assert s.trunc == exp.precision + s.order()
+            assert all(x % 2 for x in s.coeffs)
+        assert exp.h10_basis[-1].coeff(1) == -2
 
 
 def test_kept_forms_are_the_derivatives_of_the_g_i():

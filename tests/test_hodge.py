@@ -428,11 +428,10 @@ def test_reductions_are_the_fraction_sum(exp, data):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_matrix_of_columns_is_the_fraction_reference(exp, data):
-    # column j is sign times the Fraction class of the j-th series, and a
-    # refusal is that of the first column that refuses, raised before
-    # the next column is formed
+    # column j is the Fraction class of the j-th series, and a refusal
+    # is that of the first column that refuses, raised before the next
+    # column is formed
     cols = data.draw(COLUMNS[exp])
-    sign = data.draw(st.sampled_from([1, -1]))
     formed = []
 
     def columns():
@@ -443,11 +442,11 @@ def test_matrix_of_columns_is_the_fraction_reference(exp, data):
     def reference():
         classes = [fraction_reduce(s, exp, 1, "H^1(O)", hodge._pairing_O)
                    for s in cols]
-        return HomMatrix([[sign * c[i] for c in classes]
+        return HomMatrix([[c[i] for c in classes]
                           for i in range(len(cols))], exp.gaps_O)
 
     want = coordinates(reference)
-    got = coordinates(hodge._matrix_of_columns, columns(), exp, sign)
+    got = coordinates(hodge._matrix_of_columns, columns(), exp)
     assert got == want
     if isinstance(want, tuple):
         assert len(formed) == next(

@@ -3,7 +3,7 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,7 +12,7 @@ from periodjet import hodge, laurent, period, witt
 from periodjet.curve import (
     HyperellipticCurve, default_precision, expand_curve, precision_floor)
 from periodjet.hodge import (
-    HomMatrix, UnreducibleExponent, _table_rho, is_symmetric_hom,
+    HomMatrix, UnreducibleExponent, _table_serves, is_symmetric_hom,
     reduce_O, reduce_Theta, rho)
 from periodjet.laurent import (
     INF, LaurentSeries, PrecisionExhausted, derive, product_below)
@@ -298,48 +298,43 @@ def test_nu2_refuses_long_fields_before_forming(monkeypatch):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_refusal_before_rho_is_the_refusal_of_rho(exp, data):
-    # where the sketches decide a refusal, it is the one rho raises on the
-    # summed operator; where they do not, nothing is raised. The words
-    # are nu2's on a representative, and ell1_n's single word at n = 1..4
+    # where the table declines the sketches and they decide a refusal, it
+    # is the one rho raises on the summed operator; where they do not,
+    # nothing is raised. The words are nu2's on a representative, and
+    # ell1_n's single word at n = 1..4
     rep = data.draw(MIXED_REPS[exp])
     fields = data.draw(MIXED_WORDS[exp])
     for words in ([(-c, w) for c, w in rep.words()],
                   [((-1) ** (len(fields) - 1), fields)]):
         pieces = period._pieces(words)
-        early = outcome(hodge.refuse_before_rho,
-                        {k: witt._sketch(g, 1) for k, g in pieces.items()},
-                        exp)
+        sketches = {k: witt._sketch(g, 1) for k, g in pieces.items()}
+        if _table_serves(sketches, exp):
+            continue
+        early = outcome(hodge._refuse, sketches, exp)
         assert early is None or \
             early == outcome(hodge._rho, witt._summed(pieces, 1), exp)
 
 
-def test_refusal_before_rho_returns_at_once_only_where_z1_is_cleared(
-        monkeypatch):
+def test_refusal_before_rho_returns_at_once_only_where_z1_is_cleared():
     # one order k, its coefficient a known below z^t, and o the smallest
     # ord g_j^(k): column j is known below the smallest of 1, t + ord
     # g_j^(k) and trunc g_j^(k) + ord a. At t = 1 - o every column clears
-    # z^1, and refuse_before_rho returns without reading a column; at
-    # t = -o one column is known only below z^0, and it raises what rho
-    # raises
-    orders = hodge._derivative_orders
-
-    def no_columns(e, j):  # the bounds over all columns, and no column
-        return orders(e, j)[:2] + (None,)
+    # z^1: the table serves, and the walk returns past the last column; at
+    # t = -o one column is known only below z^0, the table declines, and
+    # the walk raises what rho raises
     for exp in (E5, E7, ED):
         for k in range(1, DEFAULT_MAX_ORDER + 1):
-            o = orders(exp, k)[0]
+            o = hodge._derivative_orders(exp, k)[0]
             for t in (1 - o, -o):
                 a = LaurentSeries({t - 2: 1, t - 1: 2}, t)
                 pieces = [(1, witt._Numerators.of(a), period._ONE)]
                 sketches = {k: witt._sketch(pieces, 1)}
+                assert _table_serves(sketches, exp) == (t == 1 - o)
                 if t == 1 - o:
-                    monkeypatch.setattr(hodge, "_derivative_orders",
-                                        no_columns)
-                    assert hodge.refuse_before_rho(sketches, exp) is None
-                    monkeypatch.undo()
+                    assert hodge._refuse(sketches, exp) is None
                     assert type(rho(DiffOp({k: a}), exp)) is HomMatrix
                 else:
-                    got = outcome(hodge.refuse_before_rho, sketches, exp)
+                    got = outcome(hodge._refuse, sketches, exp)
                     assert got[0] is PrecisionExhausted
                     assert got == outcome(rho, DiffOp({k: a}), exp)
 
@@ -623,8 +618,8 @@ def test_derivatives_of_the_g_j_have_no_pole():
 
 
 def table_edge_cases(exp):
-    """(operator, whether rho must take the per-column path) at the edges
-    of the table path: a coefficient truncated at the threshold, a pole at
+    """(operator, whether rho's table must decline it) at the edges of
+    the table path: a coefficient truncated at the threshold, a pole at
     the edge of the basis window, and two orders whose deepest poles
     cancel in one column. A column is known below the smaller of
     trunc a + ord g^(k) and trunc g^(k) + ord a."""
@@ -653,14 +648,19 @@ def table_edge_cases(exp):
 @pytest.mark.parametrize("exp", [E5, E7, ED],
                          ids=["x5+1", "x7-x+1", "dense-g3"])
 def test_rho_table_edges_match_full_length_reference(exp):
-    fallbacks = 0
-    for op, must_fall_back in table_edge_cases(exp):
-        if must_fall_back is not None:
-            assert (_table_rho(witt._numerators(op.terms), exp) is None) == \
-                must_fall_back
-            fallbacks += must_fall_back
-        assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
-    assert fallbacks >= 12
+    # where the table declines, rho refuses
+    declined = 0
+    for op, must_decline in table_edge_cases(exp):
+        got = outcome(rho, op, exp)
+        if must_decline is not None:
+            ops = witt._numerators(op.terms)
+            serves = _table_serves({k: (a.trunc, a.min_rule_order(), True)
+                                    for k, a in ops.items()}, exp)
+            assert serves is not must_decline
+            assert serves or type(got) is tuple
+            declined += must_decline
+        assert got == outcome(full_rho, op, exp)
+    assert declined >= 12
 
 
 def test_rho_table_entries_are_integer_numerators_over_their_lcm():
@@ -828,7 +828,6 @@ def forbidden(*args, **kwargs):
 
 def test_table_entry_forms_no_operator_image(monkeypatch):
     exp = dense_expansion(61)  # a table of its own, filled here
-    monkeypatch.setattr(hodge, "_columns", forbidden)
     monkeypatch.setattr(witt, "diffop_apply", forbidden)
     keys = lookup_entries(exp)
     for k, e in keys:
@@ -967,32 +966,80 @@ def test_contraction_matches_full_length_reference(exp, data):
         outcome(full_contraction, fields, exp)
 
 
-@pytest.mark.parametrize("exp", [E5, E7, ED],
-                         ids=["x5+1", "x7-x+1", "dense-g3"])
+@functools.cache
+def declined_operators(exp):
+    """Operators of orders 1..4 at the edges of rho's refusal (see
+    hodge._refuse), most of them declined by its table. Column j is known
+    below the smallest of 1, trunc a_k + ord g_j^(k) and
+    trunc g_j^(k) + ord a_k, so a drawn a_k, for a drawn column j and d
+    in -1..1, has its lowest term at z^(1 - trunc g_j^(k) + d) and is
+    exact or known below z^(1 - ord g_j^(k) + d). At j = g, k = 1 and
+    d = 0 the lowest term is at z^(1-P), P the precision: column g then
+    has a pole beyond the basis window. "cancel" operators have two
+    orders k1 < k2 <= r whose lowest terms cancel at z^(1-P) in a column
+    j of order r = ord g_j >= 3: a_k = c_k z^(1-P-r+k) + ... with
+    c_k1 r!/(r-k1)! + c_k2 r!/(r-k2)! = 0. Built once per curve."""
+    columns = {k: hodge._derivative_orders(exp, k)[2]
+               for k in range(1, DEFAULT_MAX_ORDER + 1)}
+    orders = [g.order() for g in exp.h10_basis]
+    coefficient = st.fractions(-4, 4, max_denominator=5).filter(bool)
+    above = st.dictionaries(st.integers(1, 6), coefficient, max_size=2)
+    column = st.integers(0, len(orders) - 1)
+    edge = st.integers(-1, 1)
+
+    @st.composite
+    def coefficient_at(draw, k, low, c):
+        coeffs = {low + e: x for e, x in draw(above).items()}
+        coeffs[low] = c
+        trunc = INF
+        if draw(st.booleans()):
+            trunc = 1 - columns[k][draw(column)][0] + draw(edge)
+        return LaurentSeries(coeffs, trunc)
+
+    @st.composite
+    def operators(draw):
+        if draw(st.booleans()):
+            ks = draw(st.lists(st.integers(1, DEFAULT_MAX_ORDER), min_size=1,
+                               max_size=3, unique=True))
+            return DiffOp({k: draw(coefficient_at(
+                k, 1 - columns[k][draw(column)][1] + draw(edge),
+                draw(coefficient))) for k in ks})
+        r = draw(st.sampled_from([r for r in orders if r >= 3]))
+        k1, k2 = sorted(draw(st.lists(
+            st.integers(1, min(r, DEFAULT_MAX_ORDER)), min_size=2,
+            max_size=2, unique=True)))
+        c = draw(coefficient)
+        lowest = {k1: -c * perm(r, k2) / perm(r, k1), k2: c}
+        return DiffOp({k: draw(coefficient_at(
+            k, 1 - exp.precision - r + k, lowest[k])) for k in lowest})
+    return operators()
+
+
+# the fixtures and a dense curve at its precision and at the floor
+DECLINED_CURVES = [E5, E7, ED, expand_curve(ED.curve, precision_floor(3))]
+
+
+@pytest.mark.parametrize("exp", DECLINED_CURVES,
+                         ids=["x5+1", "x7-x+1", "dense-g3", "dense-g3-floor"])
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_rho_columns_are_the_full_length_reference_on_integers(exp, data):
-    # rho's per-column path runs only where the table declines; here it
-    # runs on every operator, also those the table serves, and gives the
-    # matrix, or the refusal, of the full op(g_j), with every Fraction
-    # product forbidden
-    fields = data.draw(st.lists(mixed_fields(exp), min_size=1, max_size=2))
-    if data.draw(st.booleans()):
-        op = phi(fields[0])
-        for zeta in fields[1:]:
-            op = diffop_compose(phi(zeta), op)
-    else:  # any orders, not only those of composed phi-images
-        orders = data.draw(st.lists(st.integers(1, 4), min_size=len(fields),
-                                    max_size=len(fields), unique=True))
-        op = DiffOp({k: zeta.f for k, zeta in zip(orders, fields)})
+def test_rho_refuses_every_operator_its_table_declines(exp, data):
+    # where the table declines an operator's coefficients, the full
+    # op(g_j), reduced in column order, refuse, and rho raises the same,
+    # read off orders, truncations and one coefficient per column, with
+    # no product formed
+    op = data.draw(declined_operators(exp))
     ops = witt._numerators(op.terms)
-    assume(ops)  # rho's table gives the zero operator its zero matrix
+    assume(not _table_serves({k: (a.trunc, a.min_rule_order(), True)
+                              for k, a in ops.items()}, exp))
     want = outcome(full_rho, op, exp)
+    assert type(want) is tuple
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(witt, "diffop_apply", forbidden)
-        mp.setattr(witt, "product_below", forbidden)
-        mp.setattr(laurent, "product_below", forbidden)
-        assert outcome(hodge._columns, ops, exp) == want
+        for module, name in [(witt, "_collect"), (witt, "_sum_below"),
+                             (witt, "diffop_apply"), (witt, "product_below"),
+                             (laurent, "product_below")]:
+            mp.setattr(module, name, forbidden)
+        assert outcome(rho, op, exp) == want
 
 
 # --- sound truncation: tail perturbation and precision monotonicity ------
