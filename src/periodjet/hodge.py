@@ -30,9 +30,10 @@ term below z^1. Exponents >= 0 pair to zero, so inputs are treated
 modulo H+ (respectively d+): a reduction reads only the polar part of
 its input, plus the check that the input is known below z^1
 (respectively z^0), and reduce_O(x) equals reduce_O(x.truncate(1))
-exactly, raised exceptions included. A pole order beyond precision - 2,
-the window in which the expansion's pole-order elements are known,
-raises UnreducibleExponent.
+exactly, raised exceptions included. The basis window is the precision
+P: p(m) is known for every m <= P, as the g_i are known below
+z^(P + ord g_i), ord g_i >= 1, and 1/y^2 and 1/y below z^(P + 4g + 2)
+and z^(P + 2g + 1). A pole order beyond P raises UnreducibleExponent.
 
 rho sends an operator alpha to the matrix of
 
@@ -51,16 +52,19 @@ rho(z^e D^k) = 0 when e + k is odd, and the table reads, and forms, only
 the entries with e + k even (see _table_rho).
 
 The table is exact where the orders and truncations of alpha's
-coefficients say that every column is known below z^1 and reaches no
-pole beyond the basis window (see _table_serves). Everywhere else rho
-refuses, and the refusal is read off orders, truncations and one
-coefficient per column, with no column formed (see _refuse). That rests
-on what the expansion gives every g_j: ord g_j = 2(g-j)+1 >= 1, g_j is
-known below z^(precision + ord g_j), and g_g = -2z + ..., so a column
-known below z^1 has no pole deeper than precision - 1, and the one
-coefficient there decides whether it passes the window. Wherever the
-table declines, some column is unknown at z^0 or has a nonzero
-coefficient at that pole: rho is its table or a refusal. _table_serves makes the same decision from
+coefficients say that every column is known below z^1 (see
+_table_serves). Everywhere else rho refuses, read off orders and
+truncations with no column formed (see _refuse). No column known below
+z^1 reaches beyond the basis window. Call trunc - ord a series' gap.
+Each g_j has gap P; a derivative does not widen a gap; a product's gap
+is the smaller of its factors' gaps; and a sum's order is at least its
+truncation minus P where each term's gap is at most P. So every column
+on both routes, sum_k a_k g_j^(k) on the operator route and
+fn -| L_f(n-1) ... L_f1 omega_j on the contraction route, has
+ord >= trunc - P, and a column known below z^1 has no pole deeper than
+P - 1. rho is its table or a PrecisionExhausted, and
+UnreducibleExponent is raised only on a caller's own series, by
+reduce_O and reduce_Theta. _table_serves makes the same decision from
 sketches of alpha's coefficients before alpha is formed, and the same
 walk, _refuse, raises rho's PrecisionExhausted from them where they
 decide it. The operator route hands its sum to _table_rho as witt's
@@ -89,7 +93,9 @@ from .witt import _numerators
 
 
 class UnreducibleExponent(Exception):
-    """A reduction met a pole order beyond the basis window precision - 2."""
+    """A reduction met a pole order beyond the basis window, the
+    precision. Only a caller's own series can: no column of rho or of the
+    contraction route known below z^1 has such a pole."""
 
 
 class GapClass(object):
@@ -255,14 +261,6 @@ def _short(what, min_trunc, trunc):
         % (what, min_trunc, trunc))
 
 
-def _beyond(what, pole, window):
-    """The refusal of a reduction whose input has a pole beyond the basis
-    window."""
-    return UnreducibleExponent(
-        "%s reduction hit pole order %d, beyond the basis window %d "
-        "at this precision" % (what, pole, window))
-
-
 def _reduce(series, exp, min_trunc, what, pairing):
     """The class of series in the quotient with the given pairing, by
     Serre duality, as (d, numerators): its gap coordinates are n/d.
@@ -273,8 +271,10 @@ def _reduce(series, exp, min_trunc, what, pairing):
     if series.trunc < min_trunc:
         raise _short(what, min_trunc, series.trunc)
     poles = {-e: c for e, c in series.coeffs.items() if e < 0}
-    if poles and max(poles) > exp.precision - 2:
-        raise _beyond(what, max(poles), exp.precision - 2)
+    if poles and max(poles) > exp.precision:
+        raise UnreducibleExponent(
+            "%s reduction hit pole order %d, beyond the basis window %d "
+            "at this precision" % (what, max(poles), exp.precision))
     return _class_sum([(m, c.numerator, c.denominator)
                        for m, c in poles.items()], _quotient(exp, pairing))
 
@@ -410,59 +410,47 @@ def _table_serves(sketches, exp):
     witt._sketch): a_k is known below z^t and has no term below z^o.
 
     Column j, op(g_j) = sum_k a_k g_j^(k), is known below the smallest of
-    t + ord g_j^(k) and trunc g_j^(k) + ord a_k, and reaches no pole
-    deeper than -min_k(ord a_k + ord g_j^(k)). When every order clears
+    t + ord g_j^(k) and trunc g_j^(k) + ord a_k. When every order clears
     z^1 against the smallest order and the smallest truncation over the
-    g_j^(k), and has no pole beyond the basis window precision - 2
-    against that order, every column is known below z^1 and reaches no
-    pole beyond the window; so reduce_O is linear on the columns and on
-    every table entry they need, and none of them raises. A coefficient
-    with no term (o = t) clears the window once it clears z^1. o is at
-    most ord a_k, so where the sketches pass, so does the operator: a
-    formed coefficient's sketch is (trunc, ord, True). Where the formed
-    coefficients do not pass, rho refuses (see _refuse).
+    g_j^(k), every column is known below z^1, and so is z^e g_j^(k) for
+    every term z^e of a_k the table reads; none of them reaches beyond
+    the basis window (see the module docstring), so reduce_O is linear on
+    the columns and on every table entry they need, and none of them
+    raises. o is at most ord a_k, so where the sketches pass, so does the
+    operator: a formed coefficient's sketch is (trunc, ord, True). Where
+    the formed coefficients do not pass, rho refuses (see _refuse).
     """
-    window = exp.precision - 2
     for k, (t, o, _) in sketches.items():
         og, tg, _ = _derivative_orders(exp, k)
-        if t + og < 1 or tg + o < 1 or o + og < -window:
+        if t + og < 1 or tg + o < 1:
             return False
     return True
 
 
-def _refuse(sketches, exp, ops=None):
+def _refuse(sketches, exp):
     """Raise what rho raises on an operator that its table declines (see
     _table_serves), where the sketches of its coefficients decide it;
-    else return. With ops, the formed coefficients, it always raises.
+    else return.
 
     sketches maps each order k of the operator to the sketch
-    (t, o, exact) of its coefficient a_k (see witt._sketch); ops, where
-    given, maps k to a_k as _Numerators, and sketches[k] is then
-    (trunc, ord, True). Reducing the columns op(g_j) in order would
-    refuse the first that is known only below some z^trunc, trunc < 1,
-    or has a pole beyond the basis window precision - 2. Column j is
+    (t, o, exact) of its coefficient a_k (see witt._sketch). Reducing the
+    columns op(g_j) in order would refuse the first that is known only
+    below some z^trunc, trunc < 1: a column known below z^1 has no pole
+    beyond the basis window (see the module docstring). Column j is
     known below the smallest of 1, t + ord g_j^(k) and
     trunc g_j^(k) + ord a_k; that bound is the column's truncation
-    unless it rests on an order the sketch leaves open. Where it is 1,
-    every product a_k g_j^(k) starts at or above z^(1-P), P the
-    precision, as trunc g_j^(k) = P + ord g_j - k and
-    ord g_j^(k) >= ord g_j - k. So the only pole beyond the window is
-    z^(1-P), at which the products with ord a_k + ord g_j^(k) = 1 - P
-    add their lowest coefficients: ops decide that sum, a sketch does
-    not.
+    unless it rests on an order the sketch leaves open.
 
-    Where _table_serves declines the formed coefficients, some order
-    has trunc a_k + ord g_j^(k) < 1 or trunc g_j^(k) + ord a_k < 1 for
-    the j of the smallest bound, a column this walk refuses unless an
-    earlier one does; or every column is known below z^1 and
-    ord a_1 = 1 - P against ord g_g' = 0, and column g refuses, a_1's
-    lowest term against g_g = -2z + ... being the only product at
-    z^(1-P). So rho never reaches the table on an operator it declines.
+    Where _table_serves declines, some order has t + ord g_j^(k) < 1 for
+    the j of the smallest ord g_j^(k), or trunc g_j^(k) + o < 1 for the j
+    of the smallest trunc g_j^(k). A formed coefficient's sketch
+    (trunc, ord, True) leaves no order open, so on formed coefficients
+    this walk raises: rho never reaches the table on an operator it
+    declines.
     """
     orders = {k: _derivative_orders(exp, k)[2] for k in sketches}
-    window = exp.precision - 2
-    for j, gj in enumerate(exp.h10_basis):
-        trunc, known, deep = 1, True, []
+    for j in range(len(exp.h10_basis)):
+        trunc, known = 1, True
         for k, (t, o, exact) in sketches.items():
             og, tg = orders[k][j]
             for bound, sure in ((t + og, True), (tg + o, exact)):
@@ -470,18 +458,10 @@ def _refuse(sketches, exp, ops=None):
                     trunc, known = bound, sure
                 elif bound == trunc:
                     known = known or sure
-            if o + og < -window:
-                deep.append((k, og + k))
         if trunc < 1:
             if known:
                 raise _short("H^1(O)", 1, trunc)
             return
-        if deep:
-            if ops is None:
-                return
-            if sum(Fraction(ops[k].terms[0][1], ops[k].den) *
-                   perm(e, k) * gj.coeff(e) for k, e in deep):
-                raise _beyond("H^1(O)", window + 1, window)
 
 
 def _table_entry(exp, k, e):
@@ -498,12 +478,13 @@ def _table_entry(exp, k, e):
     each column summed on H^1(O)'s class table as _reduce sums a class
     (see _class_sum), with no series formed. This is the matrix that
     reducing z^e g_j^(k) below z^1 gives only where that reduction
-    cannot raise: where trunc g_j^(k) + e >= 1 and
-    e + ord g_j^(k) >= -(precision - 2) for every j. _table_rho, its one
-    caller, reads an entry only where _table_serves has passed, which
-    implies both, reads a formed entry off the table itself and calls
-    this on a miss, and asks only for the entries with e + k even: the
-    others are zero, the poles of z^e g_j^(k) being even.
+    cannot raise: where trunc g_j^(k) + e >= 1 for every j, a product
+    then having no pole beyond the basis window (see the module
+    docstring). _table_rho, its one caller, reads an entry only where
+    _table_serves has passed, which implies it, reads a formed entry off
+    the table itself and calls this on a miss, and asks only for the
+    entries with e + k even: the others are zero, the poles of
+    z^e g_j^(k) being even.
     """
     table = _table(exp, _table_entry)
     entry = table.get((k, e))
@@ -576,11 +557,12 @@ def _rho(ops, exp):
     """rho of the operator whose order-k coefficient is ops[k], a
     _Numerators: read off the table where _table_serves passes the
     sketches (trunc, ord, True) of those coefficients (see _table_rho),
-    and refused otherwise (see _refuse), with no column formed."""
+    and otherwise the PrecisionExhausted that _refuse raises from them,
+    with no column formed."""
     sketches = {k: (a.trunc, a.min_rule_order(), True)
                 for k, a in ops.items()}
     if not _table_serves(sketches, exp):
-        _refuse(sketches, exp, ops)
+        _refuse(sketches, exp)
     return _table_rho(ops, exp)
 
 
@@ -588,11 +570,10 @@ def rho(op, exp):
     """Matrix of g_j -> -[op(g_j)] in the gap basis of H^1(O).
 
     A sum over the expansion's table of monomial-operator matrices where
-    that is exact (see _table_rho); otherwise the PrecisionExhausted or
-    UnreducibleExponent that reducing the full op(g_j) in column order
-    raises, read off orders, truncations and one coefficient per column
-    (see _refuse). op's coefficients are brought to integer numerators
-    once.
+    that is exact (see _table_rho); otherwise the PrecisionExhausted that
+    reducing the full op(g_j) in column order raises, read off orders
+    and truncations (see _refuse). op's coefficients are brought to
+    integer numerators once.
     """
     return _rho(_numerators(op.terms), exp)
 

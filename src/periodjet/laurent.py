@@ -93,6 +93,13 @@ def _checked_trunc(trunc):
     return trunc
 
 
+def _checked_int(k, what):
+    """Refuse k unless it is an int and not a bool: a bool exponent would
+    be written to JSON as "True" or "False", which from_json refuses."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError("%s must be an int, got %r" % (what, k))
+
+
 def rational_to_str(q):
     """Canonical "p/q" form: q > 0, lowest terms, denominator always shown."""
     q = Fraction(q)
@@ -111,8 +118,7 @@ class LaurentSeries(object):
         stored = {}
         if coeffs:
             for e, c in coeffs.items():
-                if not isinstance(e, int):
-                    raise ValueError("exponent must be an int, got %r" % (e,))
+                _checked_int(e, "exponent")
                 c = Fraction(c)
                 # exponents at or beyond trunc are unknown, not storable
                 if c != 0 and e < trunc:
@@ -140,8 +146,7 @@ class LaurentSeries(object):
 
     @classmethod
     def monomial(cls, exponent, coefficient=1, trunc=INF):
-        if not isinstance(exponent, int):
-            raise ValueError("exponent must be an int, got %r" % (exponent,))
+        _checked_int(exponent, "exponent")
         c = Fraction(coefficient)
         trunc = _checked_trunc(trunc)
         return cls._trusted({exponent: c} if c and exponent < trunc else {},
@@ -177,8 +182,7 @@ class LaurentSeries(object):
 
     def shift(self, k):
         """Multiply by z^k (exact)."""
-        if not isinstance(k, int):
-            raise ValueError("shift must be an int, got %r" % (k,))
+        _checked_int(k, "shift")
         return LaurentSeries._trusted(
             {e + k: c for e, c in self.coeffs.items()}, self.trunc + k)
 

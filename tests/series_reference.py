@@ -147,7 +147,7 @@ def fraction_reduce(series, exp, min_trunc, what, pairing):
             "%s reduction needs truncation >= %d, input has %s"
             % (what, min_trunc, series.trunc))
     poles = {-e: c for e, c in series.coeffs.items() if e < 0}
-    window = exp.precision - 2
+    window = exp.precision
     if poles and max(poles) > window:
         raise UnreducibleExponent(
             "%s reduction hit pole order %d, beyond the basis window %d "

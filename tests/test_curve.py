@@ -84,7 +84,9 @@ def test_holomorphic_integrals_fixture():
     assert holomorphic_integrals(e) == (e.h10_forms, e.h10_basis)
     e3 = exp7()
     assert [s.order() for s in e3.h10_basis] == [5, 3, 1]
-    # rho's refusal rests on these (see hodge._refuse), at any precision
+    # rho's table and refusal rest on these (see hodge), at any
+    # precision: each g_j^(k) has gap trunc - ord at most the precision,
+    # so no column known below z^1 reaches beyond the basis window
     floor = [expand_curve(c, precision_floor(c.genus) + d)
              for c in (C5, C7) for d in (0, 1)]
     for exp in [e, e3, ED, DENSE_G6] + floor:
@@ -93,6 +95,9 @@ def test_holomorphic_integrals_fixture():
             assert s.order() == 2 * (g - j) + 1
             assert s.trunc == exp.precision + s.order()
             assert all(x % 2 for x in s.coeffs)
+            for k in range(5):
+                assert s.trunc - s.min_rule_order() <= exp.precision
+                s = derive(s)
         assert exp.h10_basis[-1].coeff(1) == -2
 
 

@@ -18,7 +18,7 @@ from periodjet.period import ell1_n_contraction
 from periodjet.witt import DiffOp, WittElement, phi
 
 from series_reference import fraction_reduce
-from test_period import dense_expansion
+from test_period import dense_expansion, finer
 
 E5 = expand_curve(HyperellipticCurve([1, 0, 0, 0, 0, 1]),
                   default_precision(2))
@@ -115,21 +115,25 @@ def test_reduce_O_span_oracle():
 def test_reduce_O_errors():
     with pytest.raises(PrecisionExhausted):
         reduce_O(LaurentSeries({-2: 1}, 0), E5)
-    deep = LaurentSeries.monomial(-(E5.precision - 1))
-    with pytest.raises(UnreducibleExponent):
-        reduce_O(deep, E5)
-    # pole N-2 is still within the window
-    ok = reduce_O(LaurentSeries.monomial(-(E5.precision - 2)), E5)
-    assert len(ok.coords) == 2
-    # the same window for fields
+    # the basis window of both quotients is the precision P: the poles
+    # P - 1 and P reduce to their classes at P + 30, and P + 1 is refused
     e = expand_curve(E5.curve, 30)
-    with pytest.raises(UnreducibleExponent) as info:
-        reduce_Theta(WittElement.monomial(-29), e)
-    assert str(info.value) == ("H^1(Theta) reduction hit pole order 29, "
-                               "beyond the basis window 28 at this "
-                               "precision")
-    ok = reduce_Theta(WittElement.monomial(-28), e)
-    assert len(ok.coords) == 3
+    for exp in (E5, e):
+        fine = finer(exp)
+        for reduce, lift, what in ((reduce_O, lambda h: h, "H^1(O)"),
+                                   (reduce_Theta, WittElement,
+                                    "H^1(Theta)")):
+            for m in (exp.precision - 1, exp.precision):
+                h = lift(LaurentSeries.monomial(-m))
+                assert reduce(h, exp) == reduce(h, fine)
+            with pytest.raises(UnreducibleExponent) as info:
+                reduce(lift(LaurentSeries.monomial(-exp.precision - 1)), exp)
+            assert str(info.value) == (
+                "%s reduction hit pole order %d, beyond the basis window "
+                "%d at this precision"
+                % (what, exp.precision + 1, exp.precision))
+    assert len(reduce_O(LaurentSeries.monomial(-29), e).coords) == 2
+    assert len(reduce_Theta(WittElement.monomial(-29), e).coords) == 3
 
 
 def test_reduce_Theta_gap_fields_and_theta():
@@ -354,17 +358,18 @@ MONOTONE = [(e, expand_curve(e.curve, e.precision + 8)) for e in (E5, E7, ED)]
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_reductions_are_monotone_in_precision(data):
-    # a tail the reductions accept at precision P reduces to the same
-    # class on the same curve expanded at P + 8
-    e, finer = data.draw(st.sampled_from(MONOTONE))
+    # a tail with poles up to the basis window, the precision P, reduces
+    # to the same class on the same curve expanded at P + 8 and P + 30
+    e, plus8 = data.draw(st.sampled_from(MONOTONE))
     coeffs = data.draw(st.dictionaries(
-        st.integers(-(e.precision - 2), 6),
+        st.integers(-e.precision, 6),
         st.fractions(min_value=-9, max_value=9, max_denominator=9),
         max_size=6))
     h = LaurentSeries(coeffs, data.draw(st.integers(1, e.precision)))
-    assert reduce_O(h, e) == reduce_O(h, finer)
     zeta = WittElement(h)
-    assert reduce_Theta(zeta, e) == reduce_Theta(zeta, finer)
+    for fine in (plus8, finer(e)):
+        assert reduce_O(h, e) == reduce_O(h, fine)
+        assert reduce_Theta(zeta, e) == reduce_Theta(zeta, fine)
 
 
 def reduction_inputs(exp):
@@ -373,7 +378,7 @@ def reduction_inputs(exp):
     small and large denominators; exact, or known below a truncation at,
     just below or above the floors 0 and 1, or farther up; and zeros,
     exact or known below such a truncation."""
-    edge = exp.precision - 2
+    edge = exp.precision
     exponents = st.integers(-edge, -1) | st.integers(-8, 4) | st.integers(
         -edge - 1, -edge + 2)
     coefficients = st.fractions(-9, 9, max_denominator=12) | st.fractions(
@@ -421,6 +426,7 @@ def test_reductions_are_the_fraction_sum(exp, data):
         if isinstance(got, list):
             assert all(type(c) is Fraction for c in got)
             assert reduce(lift(h), exp).gaps == list(pairing(exp)[1])
+            assert got == reduce(lift(h), finer(exp)).coords  # at P + 30
 
 
 @pytest.mark.parametrize("exp", [E5, E7, ED],
@@ -448,6 +454,8 @@ def test_matrix_of_columns_is_the_fraction_reference(exp, data):
     want = coordinates(reference)
     got = coordinates(hodge._matrix_of_columns, columns(), exp)
     assert got == want
+    if not isinstance(got, tuple):  # the matrix at P + 30
+        assert got == hodge._matrix_of_columns(cols, finer(exp))
     if isinstance(want, tuple):
         assert len(formed) == next(
             j + 1 for j, s in enumerate(cols) if isinstance(

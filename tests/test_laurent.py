@@ -494,6 +494,20 @@ def test_json_keys_must_be_canonical_integers():
         from_json({"trunc": 4, "coeffs": {"-1": "1", "-0_1": "2"}})
 
 
+def test_bool_exponents_are_refused():
+    # True == 1, but a bool key would be written to JSON as "True", which
+    # from_json refuses; a bool truncation is refused the same way
+    for make in (lambda b: LaurentSeries({b: 3}, 5),
+                 lambda b: LaurentSeries.monomial(b),
+                 lambda b: LaurentSeries.monomial(-1).shift(b),
+                 lambda b: LaurentSeries({0: 1}, b)):
+        for b in (True, False):
+            with pytest.raises(ValueError, match="must be an int"):
+                make(b)
+    f = LaurentSeries({1: 3, 0: Fraction(-1, 2)}, 5).shift(-1)
+    assert from_json(to_json(f)) == f
+
+
 def test_str_forms():
     assert str(LaurentSeries.zero(3)) == "0 + O(z^3)"
     assert str(LaurentSeries({-1: -1, 0: Fraction(1, 2), 2: 3})) == \

@@ -538,10 +538,10 @@ def test_nu2_pair_order_immaterial():
 def field_near_threshold(exp):
     """Fields with a pole, whose products with h = g_j' are known to just
     below or just above z^1 (the smallest order of h is 0), or exactly;
-    some have a pole at the edge of the basis window, precision - 2.
+    some have a pole at the edge of the basis window, the precision.
     Built once per curve: the properties that call it on every example
     draw from one strategy."""
-    edge = exp.precision - 2
+    edge = exp.precision
     exponents = st.tuples(
         st.lists(st.integers(-8, -1), min_size=1, max_size=2),
         st.lists(st.integers(-8, 6), max_size=2)
@@ -564,6 +564,28 @@ def outcome(fn, *args):
         return type(e), str(e)
 
 
+def finer(exp):
+    """exp's curve expanded at its precision + 30, once per curve."""
+    return expanded(tuple(exp.curve.p_coeffs), exp.precision + 30)
+
+
+@functools.cache
+def expanded(p_coeffs, precision):
+    return expand_curve(HyperellipticCurve(p_coeffs), precision)
+
+
+def checked_outcome(fn, *args):
+    """outcome(fn, *args), whose last argument is an expansion, after
+    checking that an answer is the one fn gives on the expansion at its
+    precision + 30. A basis window moved in the code and in a reference
+    alike leaves their comparison equal; a class read beyond what the
+    expansion knows differs there."""
+    got = outcome(fn, *args)
+    if type(got) is not tuple:
+        assert got == fn(*args[:-1], finer(args[-1]))
+    return got
+
+
 @pytest.mark.parametrize("exp", [E5, E7, ED],
                          ids=["x5+1", "x7-x+1", "dense-g3"])
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -579,7 +601,7 @@ def test_rho_matches_full_length_reference(exp, data):
         orders = data.draw(st.lists(st.integers(1, 4), min_size=len(fields),
                                     max_size=len(fields), unique=True))
         op = DiffOp({k: zeta.f for k, zeta in zip(orders, fields)})
-    assert outcome(rho, op, exp) == outcome(full_rho, op, exp)
+    assert checked_outcome(rho, op, exp) == outcome(full_rho, op, exp)
     # rho reads no coefficient at or above z^1, which ell1_n relies on
     below_one = DiffOp({k: a.truncate(1) for k, a in op.terms.items()})
     assert outcome(rho, below_one, exp) == outcome(full_rho, op, exp)
@@ -591,7 +613,7 @@ def test_rho_matches_full_length_reference(exp, data):
 @given(data=st.data())
 def test_ell1_n_matches_full_length_reference(exp, data):
     fields = data.draw(MIXED_WORDS[exp])
-    assert outcome(ell1_n, fields, exp) == \
+    assert checked_outcome(ell1_n, fields, exp) == \
         outcome(full_operator_route, fields, exp)
 
 
@@ -622,8 +644,10 @@ def table_edge_cases(exp):
     the table path: a coefficient truncated at the threshold, a pole at
     the edge of the basis window, and two orders whose deepest poles
     cancel in one column. A column is known below the smaller of
-    trunc a + ord g^(k) and trunc g^(k) + ord a."""
-    edge = exp.precision - 2
+    trunc a + ord g^(k) and trunc g^(k) + ord a, and the table declines
+    exactly where that is below z^1: a column known below z^1 has no pole
+    beyond the window."""
+    edge = exp.precision
     cases = []
     for k in (1, 2, 3):
         o, t = derivative_bounds(exp, k)
@@ -635,7 +659,7 @@ def table_edge_cases(exp):
                           trunc + o < 1))
         for e in range(-edge - o - 2, -edge - o + 2):  # pole order -(e + o)
             cases.append((DiffOp({k: LaurentSeries({e: 1, -1: 1})}),
-                          e + o < -edge or t + e < 1))
+                          t + e < 1))
     for g in exp.h10_basis:
         r = g.order()  # z^(e+1) D^2 - (r-1) z^e D kills the z^(e+r-1) term
         for e in range(-edge - r - 1, -edge + 2):
@@ -651,7 +675,7 @@ def test_rho_table_edges_match_full_length_reference(exp):
     # where the table declines, rho refuses
     declined = 0
     for op, must_decline in table_edge_cases(exp):
-        got = outcome(rho, op, exp)
+        got = checked_outcome(rho, op, exp)
         if must_decline is not None:
             ops = witt._numerators(op.terms)
             serves = _table_serves({k: (a.trunc, a.min_rule_order(), True)
@@ -665,11 +689,11 @@ def test_rho_table_edges_match_full_length_reference(exp):
 
 def test_rho_table_entries_are_integer_numerators_over_their_lcm():
     exp = dense_expansion(61)  # a table of its own, filled here
-    edge = exp.precision - 2
+    edge = exp.precision
     for k in (1, 2, 3):
         o, _ = derivative_bounds(exp, k)
         for e in range(-edge - o - 1, 0):  # the first one is past the edge
-            outcome(rho, DiffOp({k: LaurentSeries.monomial(e)}), exp)
+            checked_outcome(rho, DiffOp({k: LaurentSeries.monomial(e)}), exp)
     dens = []
     for (k, e), (d, pairs) in exp._hodge[hodge._table_entry].items():
         m = full_rho(DiffOp({k: LaurentSeries.monomial(e)}), exp).entries
@@ -686,10 +710,10 @@ def test_rho_table_entries_are_integer_numerators_over_their_lcm():
 
 def lookup_entries(exp):
     """Every (k, e) whose entry rho's table could read, k = 1..4, up to
-    the basis window: the e < -ord g^(k) with a pole within
-    precision - 2 and trunc g^(k) + e >= 1 (see hodge._table_rho). It
-    reads those with e + k even."""
-    edge = exp.precision - 2
+    the basis window: the e < -ord g^(k) with a pole within the
+    precision and trunc g^(k) + e >= 1 (see hodge._table_rho). It reads
+    those with e + k even."""
+    edge = exp.precision
     keys = []
     for k in range(1, 5):
         o, t = derivative_bounds(exp, k)
@@ -708,7 +732,9 @@ def test_rho_table_lookups_are_the_full_length_reference(exp):
     assert sorted(table) == sorted((k, e) for k, e in keys
                                    if (k + e) % 2 == 0)
     for (k, e), (d, pairs) in table.items():
-        m = full_rho(DiffOp({k: LaurentSeries.monomial(e)}), exp)
+        op = DiffOp({k: LaurentSeries.monomial(e)})
+        m = full_rho(op, exp)
+        assert m == rho(op, finer(exp))
         assert HomMatrix._trusted(
             [dict(pairs).get(p, 0) for p in range(len(m.numerators))], d,
             m.basis_gaps) == m
@@ -741,12 +767,14 @@ def parity_words(exp):
     - "cancel": the word again at -c, with f2 changed only above its
       lowest term, so the lowest terms cancel and the sketch is not
       exact;
-    - "beyond": a + b = -(precision - 2), so order 1 has a pole of order
-      precision - 1 against g_g' = 1 + ..., beyond the basis window; at
-      an odd precision its parity is the dropped one.
+    - "edge": a + b = 2 - P, P the precision, so order 1 has a pole of
+      order P - 1 against g_g' = -2 + ..., in a column known below z^1:
+      the table serves it. Or one past it, a + b = 1 - P: that column is
+      known below z^0 only, and rho refuses. At an odd precision the
+      pole's parity is the dropped one.
     Built once per curve."""
-    edge = exp.precision - 2
-    kinds = st.sampled_from(["dropped", "cancel", "beyond"])
+    edge = exp.precision
+    kinds = st.sampled_from(["dropped", "cancel", "edge"])
     weights = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-1, 2)])
     shallow = st.integers(-8, -1)
     deep = st.integers(-edge // 2 - 2, -edge // 2 + 2)
@@ -762,9 +790,9 @@ def parity_words(exp):
     @st.composite
     def words(draw):
         kind, c = draw(kinds), draw(weights)
-        if kind == "beyond":
+        if kind == "edge":
             a = draw(deep)
-            b = -edge - a
+            b = 2 - edge - a - draw(st.integers(0, 1))
         else:
             a = draw(shallow)
             b = a + draw(odd) if kind == "dropped" else draw(shallow)
@@ -789,8 +817,8 @@ def full_words_rho(words, exp):
     return full_rho(op, exp)
 
 
-# two at an odd precision, where the "beyond" words' pole beyond the
-# window has the parity the table does not read
+# two at an odd precision, where the "edge" words' deepest pole has the
+# parity the table does not read
 PARITY_CURVES = [expand_curve(E5.curve, 41), E7, ED,
                  expand_curve(ED.curve, 61)]
 
@@ -804,21 +832,25 @@ def test_operator_route_parity_read_is_the_full_length_reference(exp,
                                                                  data):
     # the table serves from the sum's terms of one parity only where the
     # sketches clear it; elsewhere the route sums every term, and refuses
-    # as the full operator does, also where the lowest pole beyond the
-    # basis window has the parity the table does not read
+    # as the full operator does. A pole of order P - 1 in a column known
+    # below z^1 is answered, also where it has the parity the table does
+    # not read
     kind, words = data.draw(parity_words(exp))
     sketches = {k: witt._sketch(g, 1)
                 for k, g in period._pieces(words).items()}
-    got = outcome(period._operator, words, exp)
+    got = checked_outcome(period._operator, words, exp)
     assert got == outcome(full_words_rho, words, exp)
     if kind == "dropped":
         assert all(exact and (o + k) % 2
                    for k, (t, o, exact) in sketches.items() if o < t)
     elif kind == "cancel":
         assert not all(exact for _, _, exact in sketches.values())
+    elif sum(f.f.order() for f in words[0][1]) == 2 - exp.precision:
+        assert hodge._table_serves(sketches, exp)
+        assert type(got) is HomMatrix
     else:
         assert not hodge._table_serves(sketches, exp)
-        assert got[0] is UnreducibleExponent
+        assert got[0] is PrecisionExhausted
 
 
 def forbidden(*args, **kwargs):
@@ -856,7 +888,7 @@ def test_nu2_matches_full_length_reference(exp, data):
     field = field_near_threshold(exp)
     rep = T2Rep(data.draw(field),
                 data.draw(st.lists(st.tuples(field, field), max_size=1)))
-    assert outcome(nu2, rep, exp) == outcome(full_nu2, rep, exp)
+    assert checked_outcome(nu2, rep, exp) == outcome(full_nu2, rep, exp)
 
 
 def minus_rho_of_rep(rep, exp):
@@ -962,7 +994,7 @@ def test_contraction_matches_full_length_reference(exp, data):
     # steps before them read
     fields = data.draw(st.lists(mixed_fields(exp), max_size=3))
     fields.append(data.draw(field_near_threshold(exp)))
-    assert outcome(ell1_n_contraction, fields, exp) == \
+    assert checked_outcome(ell1_n_contraction, fields, exp) == \
         outcome(full_contraction, fields, exp)
 
 
@@ -975,9 +1007,10 @@ def declined_operators(exp):
     in -1..1, has its lowest term at z^(1 - trunc g_j^(k) + d) and is
     exact or known below z^(1 - ord g_j^(k) + d). At j = g, k = 1 and
     d = 0 the lowest term is at z^(1-P), P the precision: column g then
-    has a pole beyond the basis window. "cancel" operators have two
-    orders k1 < k2 <= r whose lowest terms cancel at z^(1-P) in a column
-    j of order r = ord g_j >= 3: a_k = c_k z^(1-P-r+k) + ... with
+    has a pole of order P - 1, the deepest a column known below z^1 can
+    have. "cancel" operators have two orders k1 < k2 <= r whose lowest
+    terms cancel at z^(1-P) in a column j of order r = ord g_j >= 3:
+    a_k = c_k z^(1-P-r+k) + ... with
     c_k1 r!/(r-k1)! + c_k2 r!/(r-k2)! = 0. Built once per curve."""
     columns = {k: hodge._derivative_orders(exp, k)[2]
                for k in range(1, DEFAULT_MAX_ORDER + 1)}
@@ -1026,8 +1059,7 @@ DECLINED_CURVES = [E5, E7, ED, expand_curve(ED.curve, precision_floor(3))]
 def test_rho_refuses_every_operator_its_table_declines(exp, data):
     # where the table declines an operator's coefficients, the full
     # op(g_j), reduced in column order, refuse, and rho raises the same,
-    # read off orders, truncations and one coefficient per column, with
-    # no product formed
+    # read off orders and truncations, with no product formed
     op = data.draw(declined_operators(exp))
     ops = witt._numerators(op.terms)
     assume(not _table_serves({k: (a.trunc, a.min_rule_order(), True)
@@ -1040,6 +1072,48 @@ def test_rho_refuses_every_operator_its_table_declines(exp, data):
                              (laurent, "product_below")]:
             mp.setattr(module, name, forbidden)
         assert outcome(rho, op, exp) == want
+
+
+@pytest.mark.parametrize("exp", DECLINED_CURVES,
+                         ids=["x5+1", "x7-x+1", "dense-g3", "dense-g3-floor"])
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_no_column_reaches_beyond_the_basis_window(exp, data):
+    # a column known below z^1 has no pole deeper than P - 1, P the
+    # precision (see the hodge module docstring). On operators at the
+    # edge of rho's refusal and on words at the edge of the basis window,
+    # rho, ell1_n, nu2 and the contraction route raise no
+    # UnreducibleExponent, each answer is the one at P + 30, rho's outcome
+    # is its full-length reference's and the two routes agree. A caller's
+    # own series is reduced up to the window and refused beyond it
+    op = data.draw(declined_operators(exp))
+    _, words = data.draw(parity_words(exp))
+    edge = list(words[0][1])
+    near = data.draw(st.lists(field_near_threshold(exp), min_size=1,
+                              max_size=2))
+    got = checked_outcome(rho, op, exp)
+    assert got == outcome(full_rho, op, exp)
+    outcomes = [got]
+    for fields in (edge, near):
+        got = checked_outcome(ell1_n, fields, exp)
+        assert got == checked_outcome(ell1_n_contraction, fields, exp)
+        outcomes.append(got)
+    outcomes.append(checked_outcome(nu2, T2Rep(near[0], [tuple(edge)]),
+                                    exp))
+    assert all(got[0] is not UnreducibleExponent
+               for got in outcomes if type(got) is tuple)
+    m = exp.precision + data.draw(st.integers(-1, 2))
+    own = LaurentSeries({-m: data.draw(st.fractions(-4, 4).filter(bool)),
+                         -1: 1}, data.draw(st.integers(-1, 2) | st.just(INF)))
+    for reduce, lift, least in ((reduce_O, lambda h: h, 1),
+                                (reduce_Theta, WittElement, 0)):
+        got = checked_outcome(reduce, lift(own), exp)
+        if own.trunc < least:
+            assert got[0] is PrecisionExhausted
+        elif m > exp.precision:
+            assert got[0] is UnreducibleExponent
+        else:
+            assert type(got) is not tuple
 
 
 # --- sound truncation: tail perturbation and precision monotonicity ------
